@@ -20,23 +20,7 @@ from .ideals import (
     name_ideal,
     sub_ideals,
 )
-from .rings import FiniteRing, RingError
-
-
-def _prime_power(q: int):
-    """Return (p, e) with q = p^e, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
-        p += 1
-    return (q, 1)
+from .rings import FiniteRing, RingError, _prime_power
 
 
 def _power_exponent(value: int, base: int):

@@ -55,9 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-ms", type=int, default=None,
                        help=f"time budget in ms (default {DEFAULT_TIME_BUDGET_MS}; "
                             f"falls back to ${BUDGET_ENV_VAR})")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (accepted; search is deterministic "
-                            "and independent of this value)")
 
     p = sub.add_parser("info", help="print the classification of a ring")
     p.add_argument("spec")
@@ -120,11 +117,19 @@ def _require_ring(obj, spec_text: str) -> FiniteRing:
     return obj
 
 
+class UsageError(ValueError):
+    """Invalid input from the environment."""
+
+
 def _budgets(args) -> dict:
     time_ms = args.budget_ms
     if time_ms is None:
         env = os.environ.get(BUDGET_ENV_VAR)
-        time_ms = int(env) if env else DEFAULT_TIME_BUDGET_MS
+        try:
+            time_ms = int(env) if env else DEFAULT_TIME_BUDGET_MS
+        except ValueError:
+            raise UsageError(f"{BUDGET_ENV_VAR} must be an integer number of "
+                             f"milliseconds, not {env!r}") from None
     nodes = args.budget_nodes if args.budget_nodes is not None else DEFAULT_NODE_BUDGET
     return {"node_budget": nodes, "time_budget_ms": time_ms}
 
@@ -252,7 +257,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SpecParseError, RingError, OSError, json.JSONDecodeError) as exc:
+    except (SpecParseError, RingError, UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -539,15 +539,12 @@ def _solve_component(verts, adj, budget):
 
 
 def genus_exact(g: SimpleGraph, *, node_budget: int | None = DEFAULT_NODE_BUDGET,
-                time_budget_ms: int | None = DEFAULT_TIME_BUDGET_MS,
-                threads: int = 1) -> GenusResult:
+                time_budget_ms: int | None = DEFAULT_TIME_BUDGET_MS) -> GenusResult:
     """Exact orientable genus with a certifying rotation system.
 
     Searches component by component after genus-preserving reductions.  When
     the node/time budget runs out the result carries the bounds established
-    so far with status "budget_exhausted".  ``threads`` is accepted for
-    interface stability; the search itself is single-threaded, so results
-    never depend on it.
+    so far with status "budget_exhausted".
     """
     budget = _Budget(node_budget, time_budget_ms)
     full_adj = _adjacency_dict(g)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ideals import (
     IdealLattice,
     annihilating_ideals,
@@ -106,19 +108,10 @@ def build_ag(r: FiniteRing, lattice: IdealLattice) -> SimpleGraph:
 
 def build_zero_divisor_graph(r: FiniteRing) -> SimpleGraph:
     """Vertices are the nonzero zero-divisors; x, y adjacent when xy = 0."""
-    zero = r.zero
-    mul = r.mul
-    zd = [
-        x for x in range(r.size)
-        if x != zero and any(mul[x][y] == zero for y in range(r.size) if y != zero)
-    ]
-    index = {x: k for k, x in enumerate(zd)}
-    edges = [
-        (index[x], index[y])
-        for i, x in enumerate(zd)
-        for y in zd[i + 1:]
-        if mul[x][y] == zero
-    ]
+    kills = r.mul == r.zero
+    kills[r.zero, :] = kills[:, r.zero] = False
+    zd = np.flatnonzero(kills.any(axis=1))
+    edges = np.argwhere(np.triu(kills[np.ix_(zd, zd)], 1)).tolist()
     return simple_graph([r.labels[x] for x in zd], edges)
 
 
@@ -201,13 +194,19 @@ def find_complete_bipartite_subgraph(g: SimpleGraph, m: int, n: int,
     return KmnSearch("found", left, right)
 
 
+def _dot_id(label: str) -> str:
+    """A DOT quoted identifier: backslashes and double quotes escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: SimpleGraph, name: str = "AG") -> str:
     """Deterministic DOT text: one vertex line per label, one sorted edge line per edge."""
+    ids = [_dot_id(label) for label in g.vertices]
     lines = [f"graph {name} {{"]
-    for label in g.vertices:
-        lines.append(f'  "{label}";')
+    for vid in ids:
+        lines.append(f"  {vid};")
     for u, v in g.edges:
-        lines.append(f'  "{g.vertices[u]}" -- "{g.vertices[v]}";')
+        lines.append(f"  {ids[u]} -- {ids[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

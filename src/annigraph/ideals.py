@@ -1,15 +1,18 @@
 """Ideals of a finite commutative ring and the complete ideal lattice.
 
 An ideal is stored as a bitmask over element indices, so membership is O(1)
-and set algebra is a couple of word operations.  The lattice is generated by
-seeding with all principal ideals and closing under pairwise sums, which is
-complete because every ideal of a finite unital ring is a finite sum of
-principal ideals.
+and set algebra is a couple of word operations.  Sums and products of ideals
+come from one gather over the ring's tables (``_image``).  The lattice is
+generated by seeding with all principal ideals and closing under pairwise
+sums, which is complete because every ideal of a finite unital ring is a
+finite sum of principal ideals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .rings import FiniteRing, RingError
 
@@ -22,13 +25,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(elements) -> int:
-    out = 0
-    for e in elements:
-        out |= 1 << e
-    return out
 
 
 @dataclass(frozen=True)
@@ -90,30 +86,43 @@ class IdealLattice:
 
 
 def _require_same_ring(i: Ideal, j: Ideal):
-    if i.ring is not j.ring and i.ring != j.ring:
+    if i.ring != j.ring:
         raise RingError("ideals belong to different rings")
+
+
+def _indices(mask: int, n: int) -> np.ndarray:
+    """The element indices in a bitmask over n elements, ascending."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
+
+def _pack(flags: np.ndarray) -> int:
+    """The bitmask of a boolean array over element indices."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _image(table: np.ndarray, m1: int, m2: int) -> int:
+    """Mask of {table[a, b] : a in m1, b in m2}.
+
+    With the addition table this is the sumset m1 + m2; with the
+    multiplication table, the set of pairwise products.
+    """
+    n = len(table)
+    flags = np.zeros(n, dtype=bool)
+    flags[table[np.ix_(_indices(m1, n), _indices(m2, n))]] = True
+    return _pack(flags)
 
 
 def principal_ideal(r: FiniteRing, x: int) -> Ideal:
     """Rx, the set of ring multiples of x (an ideal since r is commutative unital)."""
     if not (0 <= x < r.size):
         raise RingError(f"element index {x} out of range")
-    mul = r.mul
-    mask = 0
-    for a in range(r.size):
-        mask |= 1 << mul[a][x]
-    return Ideal(r, mask)
+    return Ideal(r, _image(r.mul, (1 << r.size) - 1, 1 << x))
 
 
 def _close_under_add(r: FiniteRing, mask: int) -> int:
-    add = r.add
     while True:
-        new = mask
-        members = list(_bits(mask))
-        for a in members:
-            row = add[a]
-            for b in members:
-                new |= 1 << row[b]
+        new = mask | _image(r.add, mask, mask)
         if new == mask:
             return mask
         mask = new
@@ -122,13 +131,7 @@ def _close_under_add(r: FiniteRing, mask: int) -> int:
 def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
     """I + J = {a + b}; already an ideal, no closure pass needed."""
     _require_same_ring(i, j)
-    add = i.ring.add
-    mask = 0
-    for a in _bits(i.mask):
-        row = add[a]
-        for b in _bits(j.mask):
-            mask |= 1 << row[b]
-    return Ideal(i.ring, mask)
+    return Ideal(i.ring, _image(i.ring.add, i.mask, j.mask))
 
 
 def ideal_intersection(i: Ideal, j: Ideal) -> Ideal:
@@ -139,13 +142,7 @@ def ideal_intersection(i: Ideal, j: Ideal) -> Ideal:
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     """The ideal generated by pairwise products: close {a*b} under addition."""
     _require_same_ring(i, j)
-    mul = i.ring.mul
-    mask = 0
-    for a in _bits(i.mask):
-        row = mul[a]
-        for b in _bits(j.mask):
-            mask |= 1 << row[b]
-    return Ideal(i.ring, _close_under_add(i.ring, mask))
+    return Ideal(i.ring, _close_under_add(i.ring, _image(i.ring.mul, i.mask, j.mask)))
 
 
 def ideal_power(i: Ideal, k: int) -> Ideal:
@@ -163,15 +160,8 @@ def ideal_power(i: Ideal, k: int) -> Ideal:
 def annihilator(i: Ideal) -> Ideal:
     """Ann(I) = {a : a*x = 0 for every x in I}; always an ideal."""
     r = i.ring
-    mul = r.mul
-    zero = r.zero
-    members = i.members
-    mask = 0
-    for a in range(r.size):
-        row = mul[a]
-        if all(row[x] == zero for x in members):
-            mask |= 1 << a
-    return Ideal(r, mask)
+    members = _indices(i.mask, r.size)
+    return Ideal(r, _pack((r.mul[:, members] == r.zero).all(axis=1)))
 
 
 def all_ideals(r: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
@@ -179,7 +169,6 @@ def all_ideals(r: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
     seeds = {principal_ideal(r, x).mask for x in range(r.size)}
     known = set(seeds)
     queue = sorted(seeds)
-    add = r.add
     if len(known) > cap:
         raise RingError(
             f"ideal lattice exceeds cap ({cap}); "
@@ -188,11 +177,9 @@ def all_ideals(r: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
     while queue:
         m1 = queue.pop()
         for m2 in list(known):
-            s = 0
-            for a in _bits(m1):
-                row = add[a]
-                for b in _bits(m2):
-                    s |= 1 << row[b]
+            if (m1 | m2) in (m1, m2):
+                continue  # nested ideals: the sum is the larger, already known
+            s = _image(r.add, m1, m2)
             if s not in known:
                 known.add(s)
                 queue.append(s)
@@ -207,7 +194,7 @@ def all_ideals(r: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
 
 def sub_ideals(j: Ideal, lattice: IdealLattice) -> list[Ideal]:
     """All lattice members contained in j, including (0) and j itself."""
-    if j.ring is not lattice.ring and j.ring != lattice.ring:
+    if j.ring != lattice.ring:
         raise RingError("ideal and lattice belong to different rings")
     return [i for i in lattice.ideals if i.mask & ~j.mask == 0]
 

@@ -23,6 +23,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .graphs import complete_bipartite, complete_graph
 from .rings import (
     FiniteRing,
@@ -183,8 +185,9 @@ def parse_ring_spec(s: str) -> RingSpec:
     """Parse a constructor expression; errors cite the offending position."""
     if not s:
         raise SpecParseError("empty ring spec", 0)
-    if any(c.isspace() for c in s):
-        raise SpecParseError("ring specs are whitespace-free", s.index(" "))
+    blank = next((i for i, c in enumerate(s) if c.isspace()), None)
+    if blank is not None:
+        raise SpecParseError("ring specs are whitespace-free", blank)
     spec, i = _parse_spec(s, 0)
     if i != len(s):
         raise SpecParseError(f"unexpected trailing input {s[i:]!r}", i)
@@ -224,13 +227,11 @@ def _build(spec: RingSpec):
 
 
 def _zero_divisor(r: FiniteRing):
-    for a in range(r.size):
-        if a == r.zero:
-            continue
-        for b in range(a, r.size):
-            if b != r.zero and r.mul[a][b] == r.zero:
-                return a, b
-    return None
+    """The first pair a <= b of nonzero elements with a*b = 0, or None."""
+    kills = np.triu(r.mul == r.zero)
+    kills[r.zero, :] = kills[:, r.zero] = False
+    hits = np.argwhere(kills)
+    return tuple(hits[0]) if len(hits) else None
 
 
 # The frozen verification corpus: fields, SPIRs, Gorenstein non-SPIR,

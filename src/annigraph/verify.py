@@ -11,6 +11,7 @@ graph, and a registry of facts whose hypotheses no finite ring can satisfy.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -287,7 +288,7 @@ UNREACHABLE_FACTS = (
 )
 
 
-def _shape_checks(ring_name, r, lattice, cls, ag, budgets) -> list[CheckResult]:
+def _shape_checks(ring_name, r, lattice, cls, ag, solve_genus) -> list[CheckResult]:
     fp = r.fingerprint
     out = []
 
@@ -315,12 +316,13 @@ def _shape_checks(ring_name, r, lattice, cls, ag, budgets) -> list[CheckResult]:
                                 f"v.dim profile {list(profile)}"))
             continue
         matched = match_shape(ag, kind)
-        res = genus_exact(ag, **budgets)
         if matched is None:
             out.append(_failed(name, ring_name, fp,
                                {"edges": [list(e) for e in ag.edges]},
                                f"graph does not match {kind}"))
-        elif not res.exact:
+            continue
+        res = solve_genus()
+        if not res.exact:
             out.append(_skipped(name, ring_name, fp, "genus budget exhausted"))
         elif res.upper != 0:
             out.append(_failed(name, ring_name, fp, {"genus": res.upper},
@@ -349,9 +351,9 @@ def _shape_checks(ring_name, r, lattice, cls, ag, budgets) -> list[CheckResult]:
     return out
 
 
-def _genus_checks(ring_name, r, ag, budgets) -> list[CheckResult]:
+def _genus_checks(ring_name, r, ag, solve_genus) -> list[CheckResult]:
     fp = r.fingerprint
-    res = genus_exact(ag, **budgets)
+    res = solve_genus()
     if not res.exact:
         reason = "budget exhausted on genus computation"
         return [_skipped("ag_genus", ring_name, fp, reason),
@@ -477,10 +479,12 @@ def run_suite(corpus=None, suite: str = "all", *,
             results.append(check_unique_minimal_and_socle(ring, lattice, cls, name))
         if "shapes" in want or "genus" in want:
             ag = build_ag(ring, lattice)
+            # Solved at most once per ring, and only when a check asks.
+            solve_genus = functools.cache(lambda: genus_exact(ag, **budgets))
             if "shapes" in want:
-                results.extend(_shape_checks(name, ring, lattice, cls, ag, budgets))
+                results.extend(_shape_checks(name, ring, lattice, cls, ag, solve_genus))
             if "genus" in want:
-                results.extend(_genus_checks(name, ring, ag, budgets))
+                results.extend(_genus_checks(name, ring, ag, solve_genus))
 
     if "lemmas" in want:
         for check, hypothesis in UNREACHABLE_FACTS:

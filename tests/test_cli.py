@@ -199,3 +199,51 @@ def test_output_to_file(capsys, tmp_path):
     code, out, _ = run(capsys, "graph", "zn:12", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("graph AG {")
+
+
+def one_line_error(err):
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("blob", [
+    {"size": 2, "zero": 0, "one": 1, "add": [[0, 1], [1, "x"]],
+     "mul": [[0, 0], [0, 1]]},
+    {"size": 2, "zero": 1, "one": 0, "add": [[0, 1], [1, 0]],
+     "mul": [[1, 1], [1, 0]], "labels": ["a"]},
+    {"size": 2, "zero": 0, "one": 1, "add": [[0, 1], [1]], "mul": [[0, 0], [0, 1]]},
+    {"size": 2, "zero": 5, "one": 1, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]},
+    [1, 2, 3],
+])
+def test_malformed_table_file_exit_code(capsys, tmp_path, blob):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "info", f"table:{path}")
+    assert code == 2 and out == ""
+    assert one_line_error(err), err
+
+
+def test_table_file_with_zero_elsewhere_loads(capsys, tmp_path):
+    # Z_2 with its additive identity stored at index 1.
+    blob = {"size": 2, "zero": 1, "one": 0, "add": [[1, 0], [0, 1]],
+            "mul": [[0, 1], [1, 1]], "labels": ["one", "zero"]}
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(blob))
+    code, out, _ = run(capsys, "ideals", f"table:{path}")
+    assert code == 0
+    assert out == "0\t(zero)\t[0]\n1\t(one)\t[0, 1]\n"
+
+
+def test_whitespace_in_spec_exit_code(capsys):
+    code, out, err = run(capsys, "info", "zn:4\t")
+    assert code == 2 and out == ""
+    assert one_line_error(err) and "position 4" in err
+    with pytest.raises(SpecParseError) as exc:
+        parse_ring_spec("prod:(zn:2,\nzn:3)")
+    assert exc.value.position == 11
+
+
+def test_malformed_env_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("ANNIGRAPH_BUDGET_MS", "abc")
+    code, out, err = run(capsys, "genus", "cat:k5")
+    assert code == 2 and out == ""
+    assert one_line_error(err) and "ANNIGRAPH_BUDGET_MS" in err

@@ -173,3 +173,14 @@ def test_relabeling_preserves_structure():
     assert relabeled.n_edges == g.n_edges
     assert sorted(relabeled.degree(v) for v in range(relabeled.n_vertices)) \
         == sorted(g.degree(v) for v in range(g.n_vertices))
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    g = simple_graph(['a"b', "c\\d"], [(0, 1)])
+    assert to_dot(g, name="G") == (
+        'graph G {\n'
+        '  "a\\"b";\n'
+        '  "c\\\\d";\n'
+        '  "a\\"b" -- "c\\\\d";\n'
+        '}\n'
+    )

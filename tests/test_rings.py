@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from annigraph.rings import (
@@ -186,14 +187,14 @@ def test_quotient_z12_by_4_is_z4():
     q = quotient_ring(z12, principal_ideal(z12, 4))
     z4 = make_zn(4)
     assert q.size == 4
-    assert q.add == z4.add and q.mul == z4.mul
+    assert np.array_equal(q.add, z4.add) and np.array_equal(q.mul, z4.mul)
     assert q.labels == ("[0]", "[1]", "[2]", "[3]")
 
 
 def test_quotient_by_zero_and_by_2():
     z12 = make_zn(12)
     q0 = quotient_ring(z12, principal_ideal(z12, 0))
-    assert q0.add == z12.add and q0.mul == z12.mul
+    assert np.array_equal(q0.add, z12.add) and np.array_equal(q0.mul, z12.mul)
     q2 = quotient_ring(z12, principal_ideal(z12, 2))
     assert q2.size == 2
     assert validate_ring(q2).ok
@@ -239,3 +240,90 @@ def test_ring_json_normalizes_zero():
     assert loaded.zero == 0
     assert validate_ring(loaded).ok
     assert loaded.labels[0] == "0"
+
+
+def test_tables_are_read_only_int32():
+    r = make_zn(6)
+    for table in (r.add, r.mul):
+        assert table.dtype == np.int32 and table.shape == (6, 6)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    # The constructor copies a caller's writable array instead of freezing it.
+    mine = np.array([[0, 1], [1, 0]])
+    ring = FiniteRing(size=2, add=mine, mul=[[0, 0], [0, 1]])
+    mine[0, 0] = 1
+    assert ring.add[0, 0] == 0 and not ring.add.flags.writeable
+
+
+@pytest.mark.parametrize("add, match", [
+    ([[0, 1], [1, "x"]], "integers"),
+    ([[0, 1], [1, 0.5]], "integers"),
+    ([[0, 1], [1]], "n x n|shape"),
+    ([[0, 1, 0], [1, 0, 1]], "shape"),
+    ([[0, 1], [1, 2]], "out of range"),
+])
+def test_malformed_tables_raise_ring_error(add, match):
+    with pytest.raises(RingError, match=match):
+        FiniteRing(size=2, add=add, mul=[[0, 0], [0, 1]])
+
+
+def test_rings_compare_by_value():
+    r = make_f2xy_x2y2()
+    again = ring_from_json(json.loads(json.dumps(ring_to_json(r))))
+    assert again is not r and again == r and hash(again) == hash(r)
+    assert len({make_zn(12), make_zn(12), make_zn(6)}) == 2
+    assert make_zn(4) != make_zn(5)
+    relabeled = FiniteRing(size=4, add=make_zn(4).add, mul=make_zn(4).mul,
+                           labels=("a", "b", "c", "d"))
+    assert relabeled != make_zn(4)
+    assert relabeled.fingerprint == make_zn(4).fingerprint
+    assert make_zn(2) != "zn:2"
+
+
+def test_fingerprints_are_pinned():
+    from annigraph.specs import parse_ring_spec
+
+    assert parse_ring_spec("zn:12").build().fingerprint == (
+        "78ace8da54ca7abcf353a225de469f36794618c2f97e88a0e2cf56a4a1c2c0b0")
+    assert parse_ring_spec("cat:f3xy_x2y2").build().fingerprint == (
+        "b88e29af40b602e4540129cf484e251a17ecf88026a5626bfa6ac398299d8924")
+
+
+def test_poly_quotient_matches_its_structure_constants():
+    # Z_3[x]/(x^2 + 1) on the basis 1, x: x * x = -1 = 2.
+    sc = make_structure_constants(3, 2, ("1", "x"),
+                                  [[[1, 0], [0, 1]], [[0, 1], [2, 0]]])
+    assert sc == make_poly_quotient(3, (1, 0, 1))
+
+
+def test_poly_quotient_tables_match_elementwise_arithmetic():
+    # Reference: decode each index to coefficients, multiply and add the
+    # polynomials term by term, reduce by f with long division, encode.
+    p, f = 3, (1, 2, 0, 1)  # Z_3[x]/(x^3 + 2x + 1)
+    d = len(f) - 1
+    r = make_poly_quotient(p, f)
+
+    def decode(idx):
+        return [idx // p**i % p for i in range(d)]
+
+    def encode(coeffs):
+        return sum(c * p**i for i, c in enumerate(coeffs))
+
+    def reduce(prod):
+        prod = list(prod)
+        for top in range(len(prod) - 1, d - 1, -1):
+            lead = prod[top]
+            for i in range(d + 1):
+                prod[top - d + i] -= lead * f[i]
+        return [c % p for c in prod[:d]]
+
+    for a in range(r.size):
+        u = decode(a)
+        for b in range(r.size):
+            v = decode(b)
+            prod = [0] * (2 * d - 1)
+            for i in range(d):
+                for j in range(d):
+                    prod[i + j] += u[i] * v[j]
+            assert r.mul[a, b] == encode(reduce(prod))
+            assert r.add[a, b] == encode([(x + y) % p for x, y in zip(u, v)])

@@ -190,3 +190,23 @@ def test_report_formats():
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0] == "check,ring,status,reason_or_detail"
     assert len(csv_text.splitlines()) == len(report.results) + 1
+
+
+def test_suite_solves_each_genus_at_most_once(monkeypatch):
+    from annigraph import verify
+    from annigraph.specs import builtin_corpus
+
+    calls = []
+    real = verify.genus_exact
+
+    def counting(g, **budgets):
+        calls.append(g)
+        return real(g, **budgets)
+
+    monkeypatch.setattr(verify, "genus_exact", counting)
+    report = run_suite(suite="all")
+    assert report.ok
+    assert len(calls) == len(builtin_corpus()) == 23
+    calls.clear()
+    run_suite(suite="lemmas")
+    assert calls == []
