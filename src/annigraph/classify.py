@@ -10,7 +10,7 @@ applies when the ring is local.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ideals import (
     Ideal,
@@ -42,7 +42,7 @@ class RingClassification:
     with ``is_field`` set so downstream checks can special-case them.
     """
 
-    ring_fingerprint: str
+    ring: FiniteRing = field(repr=False)
     ideal_count: int
     maximal_ideals: tuple[Ideal, ...]
     is_local: bool
@@ -55,6 +55,11 @@ class RingClassification:
     socle_dim: int | None = None
     is_gorenstein: bool | None = None
     is_spir: bool | None = None
+
+    @property
+    def ring_fingerprint(self) -> str:
+        """The ring's fingerprint, hashed only when output asks for it."""
+        return self.ring.fingerprint
 
     @property
     def maximal_ideal(self) -> Ideal:
@@ -94,7 +99,7 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
     count = len(lattice)
     if len(maximal) != 1:
         return RingClassification(
-            ring_fingerprint=r.fingerprint,
+            ring=r,
             ideal_count=count,
             maximal_ideals=maximal,
             is_local=False,
@@ -104,7 +109,7 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
     if m.mask == zero_mask:
         # Field: every nonzero element is a unit.
         return RingClassification(
-            ring_fingerprint=r.fingerprint,
+            ring=r,
             ideal_count=count,
             maximal_ideals=maximal,
             is_local=True,
@@ -148,7 +153,7 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
     is_spir = {i.mask for i in lattice.ideals} == power_masks | {unit_mask}
 
     return RingClassification(
-        ring_fingerprint=r.fingerprint,
+        ring=r,
         ideal_count=count,
         maximal_ideals=maximal,
         is_local=True,

@@ -1,9 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The oracles deliberately avoid the library's own algorithms: ideal
-enumeration by exhaustive subset closure, annihilating-ideal graphs by
-elementwise pairwise products, genus by full rotation-system enumeration,
-and Z_n ideal structure by divisor arithmetic.
+The oracles deliberately avoid the library's own algorithms: ring axioms
+by exhaustive triple loops, ideal enumeration by exhaustive subset closure,
+annihilating-ideal graphs by elementwise pairwise products, genus by full
+rotation-system enumeration, and Z_n ideal structure by divisor arithmetic.
 """
 
 from __future__ import annotations
@@ -11,15 +11,84 @@ from __future__ import annotations
 import math
 from itertools import permutations, product as iproduct
 
+import numpy as np
 import pytest
 
 from annigraph.genus import verify_embedding
-from annigraph.rings import FiniteRing, make_structure_constants
+from annigraph.rings import FiniteRing, ValidationReport, make_structure_constants
 from annigraph.specs import builtin_corpus
 
 
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def brute_validate(ring: FiniteRing) -> ValidationReport:
+    """The commutative-ring axioms checked on every element, pair and triple,
+    in the order ``validate_ring`` reports them: the pair axioms, then
+    ``add_associative``, ``distributive`` and ``mul_associative``."""
+    n, A, M, z, one = ring.size, ring.add, ring.mul, ring.zero, ring.one
+
+    def fail(axiom, *witness):
+        return ValidationReport(False, axiom, tuple(int(x) for x in witness))
+
+    for x in range(n):
+        if A[z][x] != x:
+            return fail("zero_identity", x)
+    for a in range(n):
+        if all(A[a][b] != z for b in range(n)):
+            return fail("additive_inverse", a)
+    for a, b in iproduct(range(n), repeat=2):
+        if A[a][b] != A[b][a]:
+            return fail("add_commutative", a, b)
+    if one == z:
+        return fail("one_not_zero", one)
+    for x in range(n):
+        if M[one][x] != x:
+            return fail("mul_identity", x)
+    for a, b in iproduct(range(n), repeat=2):
+        if M[a][b] != M[b][a]:
+            return fail("mul_commutative", a, b)
+    # One row a at a time over all (b, c): left side against right side.
+    triple_axioms = (
+        ("add_associative", lambda a: (A[A[a], :], A[a][A])),
+        ("distributive", lambda a: (M[a][A], A[M[a][:, None], M[a][None, :]])),
+        ("mul_associative", lambda a: (M[M[a], :], M[a][M])),
+    )
+    for axiom, sides in triple_axioms:
+        for a in range(n):
+            bad = np.argwhere(np.not_equal(*sides(a)))
+            if len(bad):
+                return fail(axiom, a, *bad[0])
+    return ValidationReport(True)
+
+
+def violates(ring: FiniteRing, axiom: str, witness: tuple) -> bool:
+    """Whether ``witness`` is a counterexample to ``axiom`` in ``ring``."""
+    n, A, M, z, one = ring.size, ring.add, ring.mul, ring.zero, ring.one
+    if axiom == "zero_identity":
+        (x,) = witness
+        return A[z][x] != x
+    if axiom == "additive_inverse":
+        (a,) = witness
+        return all(A[a][b] != z for b in range(n))
+    if axiom == "one_not_zero":
+        return witness == (one,) and one == z
+    if axiom == "mul_identity":
+        (x,) = witness
+        return M[one][x] != x
+    if axiom in ("add_commutative", "mul_commutative"):
+        a, b = witness
+        T = A if axiom == "add_commutative" else M
+        return T[a][b] != T[b][a]
+    a, b, c = witness
+    if axiom == "add_associative":
+        return A[A[a][b]][c] != A[a][A[b][c]]
+    if axiom == "distributive":
+        return M[a][A[b][c]] != A[M[a][b]][M[a][c]]
+    if axiom == "mul_associative":
+        return M[M[a][b]][c] != M[a][M[b][c]]
+    raise ValueError(f"unknown axiom {axiom}")
 
 
 def brute_force_ideals(ring: FiniteRing) -> set[frozenset]:

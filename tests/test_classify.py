@@ -117,3 +117,11 @@ def test_corpus_invariants(corpus):
         if cls.is_spir:
             assert cls.ideal_count == cls.t + 2
             assert set(cls.vdim_profile) == {1}
+
+
+@pytest.mark.parametrize("ring", [make_zn(7), make_zn(12), make_zn(16)])
+def test_classify_hashes_the_ring_only_for_output(ring):
+    _, cls = classify_ring(ring)
+    assert "fingerprint" not in vars(ring)
+    assert cls.ring is ring
+    assert cls.ring_fingerprint == ring.fingerprint

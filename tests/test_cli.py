@@ -222,6 +222,30 @@ def test_malformed_table_file_exit_code(capsys, tmp_path, blob):
     assert one_line_error(err), err
 
 
+F2XY_SC = {"p": 2, "rank": 3, "basis": ["1", "x", "y"],
+           "mul": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                   [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+                   [[0, 0, 1], [0, 0, 0], [0, 0, 0]]]}
+
+
+@pytest.mark.parametrize("blob", [
+    {**F2XY_SC, "p": "x"},
+    {**F2XY_SC, "rank": "three"},
+    {**F2XY_SC, "p": None},
+    {**F2XY_SC, "rank": [3]},
+    {**F2XY_SC, "p": 2.5},
+    {**F2XY_SC, "basis": 5},
+    {key: F2XY_SC[key] for key in ("p", "basis", "mul")},
+    [1, 2, 3],
+])
+def test_malformed_structure_constant_file_exit_code(capsys, tmp_path, blob):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "info", f"sc:{path}")
+    assert code == 2 and out == ""
+    assert one_line_error(err) and "structure-constant" in err, err
+
+
 def test_table_file_with_zero_elsewhere_loads(capsys, tmp_path):
     # Z_2 with its additive identity stored at index 1.
     blob = {"size": 2, "zero": 1, "one": 0, "add": [[1, 0], [0, 1]],

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annigraph.rings import (
     FiniteRing,
+    _additive_generators,
+    _algebra,
     RingError,
     make_poly_quotient,
     make_product,
@@ -17,7 +20,7 @@ from annigraph.rings import (
 )
 from annigraph.ideals import all_ideals, principal_ideal
 
-from conftest import make_f2xy_x2y2
+from conftest import brute_validate, make_f2xy_x2y2, violates
 
 
 def test_zn_smallest_field():
@@ -174,6 +177,91 @@ def test_validate_triple_guard():
     assert guarded.ok and not guarded.triples_checked
     full = validate_ring(r, triple_cap=8, force_triples=True)
     assert full.ok and full.triples_checked
+
+
+def test_validate_reports_distributive_before_mul_associative():
+    z4 = make_zn(4)
+    mul = z4.mul.copy()
+    mul[2, 2] = 1  # 2*2 becomes 1: both distributivity and associativity die
+    bad = FiniteRing(size=4, add=z4.add, mul=mul)
+    assert violates(bad, "mul_associative", (2, 2, 3))
+    assert violates(bad, "distributive", (2, 1, 1))
+    assert brute_validate(bad).axiom == "distributive"
+    report = validate_ring(bad)
+    assert (report.ok, report.axiom, report.witness) == (False, "distributive", (2, 1, 1))
+
+
+def test_forced_triples_above_the_cap():
+    z600 = make_zn(600)
+    mul = z600.mul.copy()
+    mul[2, 3] = mul[3, 2] = 0
+    bad = FiniteRing(size=600, add=z600.add, mul=mul)
+    assert validate_ring(bad) == validate_ring(z600)
+    assert not validate_ring(bad).triples_checked
+    report = validate_ring(bad, force_triples=True)
+    assert report.axiom == "distributive" and violates(bad, report.axiom, report.witness)
+    assert validate_ring(z600, force_triples=True).ok
+
+
+def test_additive_generators_generate(corpus):
+    for name, r in corpus.items():
+        gens = _additive_generators(r.add, r.zero)
+        assert 1 <= len(gens) <= (r.size - 1).bit_length(), name
+        reached, frontier = set(gens), list(gens)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = int(r.add[x, g])
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        assert reached == set(range(r.size)), name
+
+
+def test_validate_checks_every_generator():
+    # F_2-algebra on 1, e, f with e^2 = f, ef = e, f^2 = 0: commutative and
+    # bilinear, so only mul_associative fails, (ee)f = 0 but e(ef) = f, and
+    # never with the identity, the first additive generator.
+    e0, e1, e2, zero = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
+    consts = [[e0, e1, e2], [e1, e2, e1], [e2, e1, zero]]
+    with pytest.raises(RingError, match="not associative"):
+        make_structure_constants(2, 3, ("1", "e", "f"), consts)
+    bad = _algebra(2, ("1", "e", "f"), np.array(consts))
+    assert _additive_generators(bad.add, bad.zero) == [1, 2, 4]
+    report = validate_ring(bad)
+    assert report.axiom == brute_validate(bad).axiom == "mul_associative"
+    assert report.witness[0] != bad.one
+    assert violates(bad, report.axiom, report.witness)
+
+
+PERTURBED_RINGS = {
+    "Z4": make_zn(4),
+    "Z6": make_zn(6),
+    "Z8": make_zn(8),
+    "Z9": make_zn(9),
+    "Z12": make_zn(12),
+    "Z2xZ4": make_product(make_zn(2), make_zn(4)),
+    "F4": make_poly_quotient(2, (1, 1, 1)),
+    "Z2[x]/(x^3)": make_poly_quotient(2, (0, 0, 0, 1)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_agrees_with_brute_oracle_on_perturbed_tables(data):
+    r = PERTURBED_RINGS[data.draw(st.sampled_from(sorted(PERTURBED_RINGS)))]
+    n = r.size
+    tables = {"add": r.add.copy(), "mul": r.mul.copy()}
+    for _ in range(data.draw(st.integers(1, 2))):
+        table = tables[data.draw(st.sampled_from(["add", "mul"]))]
+        i, j, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        table[i, j] = table[j, i] = v
+    bad = FiniteRing(size=n, add=tables["add"], mul=tables["mul"])
+    report, oracle = validate_ring(bad), brute_validate(bad)
+    assert (report.ok, report.axiom) == (oracle.ok, oracle.axiom)
+    if not report.ok:
+        assert violates(bad, report.axiom, report.witness)
+        assert violates(bad, oracle.axiom, oracle.witness)
 
 
 def test_constructors_are_deterministic():
