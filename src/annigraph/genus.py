@@ -13,7 +13,9 @@ choices enumerate each rotation system exactly once, cyclic symmetry
 included, so exhausting the search at merge budget g-1 proves genus >= g.
 The driver deletes degree-0/1 vertices, suppresses degree-2 vertices, splits
 into connected components (genus adds over components), and runs iterative
-deepening on the merge budget starting from the Euler bound.
+deepening on the merge budget starting from the Euler bound.  Where that
+bound is 0, the LR planarity test runs first: it either yields a planar
+embedding, so no search is needed, or proves genus >= 1.
 """
 
 from __future__ import annotations
@@ -126,25 +128,30 @@ def euler_lower_bound(g: SimpleGraph) -> int:
     return sum(_component_euler_bound(c, adj) for c in _components(adj))
 
 
-def is_planar(g: SimpleGraph) -> bool:
-    """LR planarity test (networkx); must agree with the exact solver at genus 0."""
+def _lr_rotation(verts, edges) -> dict[int, list[int]] | None:
+    """Rotation lists of a planar embedding by the LR test (networkx), or
+    None if the graph on ``verts`` and ``edges`` is non-planar."""
     G = nx.Graph()
-    G.add_nodes_from(range(g.n_vertices))
-    G.add_edges_from(g.edges)
-    ok, _ = nx.check_planarity(G, counterexample=False)
-    return ok
-
-
-def planar_rotation(g: SimpleGraph) -> RotationSystem | None:
-    """A rotation system realizing a planar embedding, or None if non-planar."""
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n_vertices))
-    G.add_edges_from(g.edges)
+    G.add_nodes_from(verts)
+    G.add_edges_from(edges)
     ok, emb = nx.check_planarity(G)
     if not ok:
         return None
     data = emb.get_data()
-    return tuple(tuple(data.get(v, [])) for v in range(g.n_vertices))
+    return {v: list(data.get(v, ())) for v in verts}
+
+
+def is_planar(g: SimpleGraph) -> bool:
+    """LR planarity test (networkx); must agree with the exact solver at genus 0."""
+    return _lr_rotation(range(g.n_vertices), g.edges) is not None
+
+
+def planar_rotation(g: SimpleGraph) -> RotationSystem | None:
+    """A rotation system realizing a planar embedding, or None if non-planar."""
+    rot = _lr_rotation(range(g.n_vertices), g.edges)
+    if rot is None:
+        return None
+    return tuple(tuple(rot[v]) for v in range(g.n_vertices))
 
 
 def verify_embedding(g: SimpleGraph, rotation) -> int:
@@ -310,11 +317,19 @@ def _connected_edge_order(verts, adj):
 
 
 class _EmbeddingSearch:
-    """Backtracking over corner insertions for a fixed ordered edge list.
+    """Depth-first search over corner insertions for a fixed ordered edge list.
 
     The edge list may span several components; each component's first edge
     opens a fresh face.  ``run`` returns (rotation, genus) for the first
     embedding found with at most ``target`` face merges, or (None, None).
+
+    The stack holds one generator per placed edge, so the depth is bounded
+    by memory, not by the interpreter's recursion limit.  A level's
+    generator applies its next candidate move, yields, and undoes the move
+    when it is resumed; each candidate tried costs one node.  Face ids are
+    only compared for equality: a component's opening edge and a split use
+    the number of the new dart as the fresh id, which no other live face
+    can hold.
     """
 
     def __init__(self, vert_ids, edges, budget):
@@ -330,24 +345,22 @@ class _EmbeddingSearch:
         self.darts_at = [[] for _ in self.ids]
         self.budget = budget
         self.genus_used = 0
-        self.next_face = 0
         self.target = 0
-        self.solution = None
-        self.solution_genus = None
 
     def run(self, target):
         self.target = float("inf") if target is None else target
         self.genus_used = 0
-        self.next_face = 0
-        for i in range(len(self.rot_next)):
-            self.rot_next[i] = -1
-            self.face[i] = -1
         for lst in self.darts_at:
             lst.clear()
-        self.solution = None
-        self.solution_genus = None
-        if self._place(0):
-            return self.solution, self.solution_genus
+        depth = len(self.edges)
+        stack = [self._moves(0)]
+        while stack:
+            if next(stack[-1], False):
+                if len(stack) == depth:
+                    return self._extract(), self.genus_used
+                stack.append(self._moves(len(stack)))
+            else:
+                stack.pop()
         return None, None
 
     def _extract(self):
@@ -370,11 +383,15 @@ class _EmbeddingSearch:
             rot[v] = cyc
         return rot
 
-    def _place(self, ei):
-        if ei == len(self.edges):
-            self.solution = self._extract()
-            self.solution_genus = self.genus_used
-            return True
+    def _moves(self, ei):
+        """The candidate moves for edge ``ei``, applied one at a time.
+
+        Order: the opening edge of a component; pendant corners in the order
+        of the darts at u; corner pairs on a common face (x over the darts
+        at u, y over those at v); then, while merges remain, pairs on
+        different faces in the same order.  Lists of darts are iterated in
+        place: every move is undone before its iterator advances.
+        """
         u, v = self.edges[ei]
         a = 2 * ei
         b = a + 1
@@ -389,136 +406,125 @@ class _EmbeddingSearch:
             spend()
             rot[a] = a
             rot[b] = b
-            f = self.next_face
-            self.next_face += 1
-            face[a] = f
-            face[b] = f
+            face[a] = face[b] = a
             du.append(a)
             dv.append(b)
-            if self._place(ei + 1):
-                return True
+            yield True
             du.pop()
             dv.pop()
-            rot[a] = rot[b] = -1
-            face[a] = face[b] = -1
-            self.next_face -= 1
-            return False
+            return
 
         if not dv:
             # Pendant insertion: v is new; the chosen corner's face absorbs
             # both darts, so the face count is unchanged.
-            for x in tuple(du):
+            for x in du:
                 spend()
                 sx = rot[x]
                 rot[x] = a
                 rot[a] = sx
                 rot[b] = b
-                f = face[x ^ 1]
-                face[a] = f
-                face[b] = f
+                face[a] = face[b] = face[x ^ 1]
                 du.append(a)
                 dv.append(b)
-                if self._place(ei + 1):
-                    return True
+                yield True
                 du.pop()
                 dv.pop()
                 rot[x] = sx
-                rot[a] = rot[b] = -1
-                face[a] = face[b] = -1
-            return False
+            return
 
-        # Both endpoints embedded: same-face corner pairs split (genus kept),
-        # cross-face pairs merge (genus + 1, only while budget remains).
-        same = []
-        diff = []
+        # Both endpoints embedded.  The corner after dart x lies on face
+        # face[x ^ 1].  A same-face pair splits that face (genus kept); a
+        # cross-face pair merges two faces (genus + 1).  The darts at v are
+        # grouped by face once; pairs are formed only when tried.
+        by_face = {}
+        for y in dv:
+            by_face.setdefault(face[y ^ 1], []).append(y)
+        for x in du:
+            fx = face[x ^ 1]
+            for y in by_face.get(fx, ()):
+                spend()
+                sx = rot[x]
+                sy = rot[y]
+                rot[x] = a
+                rot[a] = sx
+                rot[y] = b
+                rot[b] = sy
+                du.append(a)
+                dv.append(b)
+                # The face through a keeps fx; the one through b is new.
+                face[a] = fx
+                d = b
+                while True:
+                    face[d] = b
+                    d = rot[d ^ 1]
+                    if d == b:
+                        break
+                yield True
+                d = b
+                while True:
+                    face[d] = fx
+                    d = rot[d ^ 1]
+                    if d == b:
+                        break
+                du.pop()
+                dv.pop()
+                rot[y] = sy
+                rot[x] = sx
+
+        if self.genus_used >= self.target:
+            return
         for x in du:
             fx = face[x ^ 1]
             for y in dv:
-                if face[y ^ 1] == fx:
-                    same.append((x, y))
-                else:
-                    diff.append((x, y))
-        for x, y in same:
-            spend()
-            if self._insert(x, y, a, b, ei, merge=False):
-                return True
-        if self.genus_used < self.target:
-            for x, y in diff:
+                fy = face[y ^ 1]
+                if fy == fx:
+                    continue
                 spend()
-                if self._insert(x, y, a, b, ei, merge=True):
-                    return True
-        return False
-
-    def _insert(self, x, y, a, b, ei, merge):
-        rot = self.rot_next
-        face = self.face
-        sx = rot[x]
-        sy = rot[y]
-        rot[x] = a
-        rot[a] = sx
-        rot[y] = b
-        rot[b] = sy
-        u, v = self.edges[ei]
-        self.darts_at[u].append(a)
-        self.darts_at[v].append(b)
-        trail = []
-        if merge:
-            self.genus_used += 1
-            f = self.next_face
-            self.next_face += 1
-            d = a
-            while True:
-                trail.append((d, face[d]))
-                face[d] = f
-                d = rot[d ^ 1]
-                if d == a:
-                    break
-        else:
-            f1 = self.next_face
-            f2 = self.next_face + 1
-            self.next_face += 2
-            d = a
-            while True:
-                trail.append((d, face[d]))
-                face[d] = f1
-                d = rot[d ^ 1]
-                if d == a:
-                    break
-            d = b
-            while True:
-                trail.append((d, face[d]))
-                face[d] = f2
-                d = rot[d ^ 1]
-                if d == b:
-                    break
-
-        if self._place(ei + 1):
-            return True
-
-        for d, old in reversed(trail):
-            face[d] = old
-        self.next_face -= 1 if merge else 2
-        if merge:
-            self.genus_used -= 1
-        self.darts_at[u].pop()
-        self.darts_at[v].pop()
-        rot[y] = sy
-        rot[x] = sx
-        rot[a] = rot[b] = -1
-        face[a] = face[b] = -1
-        return False
+                sx = rot[x]
+                sy = rot[y]
+                rot[x] = a
+                rot[a] = sx
+                rot[y] = b
+                rot[b] = sy
+                du.append(a)
+                dv.append(b)
+                # The merged face runs a, then fy's darts from sy, then b,
+                # then fx's darts; only fy's darts are relabelled.
+                face[a] = face[b] = fx
+                d = sy
+                while d != b:
+                    face[d] = fx
+                    d = rot[d ^ 1]
+                self.genus_used += 1
+                yield True
+                self.genus_used -= 1
+                d = sy
+                while d != b:
+                    face[d] = fy
+                    d = rot[d ^ 1]
+                du.pop()
+                dv.pop()
+                rot[y] = sy
+                rot[x] = sx
 
 
 def _solve_component(verts, adj, budget):
     """Exact genus of one connected component, or partial bounds on budget stop.
 
-    Returns (lower, upper, rotation, exact).  A cheap unrestricted first
+    Returns (lower, upper, rotation, exact).  Where the Euler bound is 0,
+    the LR planarity test either returns a planar embedding as the witness,
+    with no search, or proves genus >= 1.  A cheap unrestricted first
     descent supplies the initial upper bound and witness; iterative
-    deepening from the Euler bound then closes the gap.  On budget
+    deepening from the lower bound then closes the gap.  On budget
     exhaustion the bounds keep whatever the completed rungs proved.
     """
     edges = _connected_edge_order(verts, adj)
     lower = _component_euler_bound(verts, adj)
+    if lower == 0:
+        planar = _lr_rotation(verts, edges)
+        if planar is not None:
+            return 0, 0, planar, True
+        lower = 1
     rot = None
     upper = None
     try:
@@ -587,40 +593,3 @@ def genus_exact(g: SimpleGraph, *, node_budget: int | None = DEFAULT_NODE_BUDGET
     return GenusResult(lower=lower, upper=upper, status=status,
                        witness=witness, nodes=budget.nodes)
 
-
-def _genus_exact_whole(g: SimpleGraph, *, node_budget=DEFAULT_NODE_BUDGET,
-                       time_budget_ms=DEFAULT_TIME_BUDGET_MS) -> GenusResult:
-    """Exact genus without reductions or component decomposition.
-
-    One search over the whole (possibly disconnected) graph; used to
-    cross-check that genus is additive over components.
-    """
-    budget = _Budget(node_budget, time_budget_ms)
-    adj = _adjacency_dict(g)
-    comps = _components(adj)
-    edges = []
-    isolated = []
-    for comp in comps:
-        if len(comp) == 1:
-            isolated.extend(comp)
-            continue
-        edges.extend(_connected_edge_order(comp, adj))
-    verts = [v for comp in comps for v in comp if len(comp) > 1]
-    lower = sum(_component_euler_bound(c, adj) for c in comps)
-    try:
-        search = _EmbeddingSearch(verts, edges, budget)
-        best, upper = search.run(None)
-        target = lower
-        while target < upper:
-            found, gg = search.run(target)
-            if found is not None:
-                upper = gg
-                best = found
-                break
-            target += 1
-    except BudgetExceeded:
-        return GenusResult(lower, None, "budget_exhausted", nodes=budget.nodes)
-    for v in isolated:
-        best[v] = []
-    witness = tuple(tuple(best.get(v, ())) for v in range(g.n_vertices))
-    return GenusResult(upper, upper, "exact", witness, nodes=budget.nodes)

@@ -14,7 +14,7 @@ import csv
 import functools
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .classify import RingClassification, classify, unique_minimal_ideal
 from .genus import (
@@ -40,29 +40,38 @@ from .rings import FiniteRing, validate_ring
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check on one ring.  ``ring`` is the ring's name; ``source`` is the
+    ring itself (None for checks that no ring reaches), kept out of the repr
+    and of equality."""
+
     check: str
     ring: str
-    fingerprint: str | None
+    source: FiniteRing | None = field(repr=False, compare=False)
     status: str  # pass | fail | skipped
     reason: str = ""
     witness: dict | None = None
     detail: str = ""
 
     @property
+    def fingerprint(self) -> str | None:
+        """The ring's fingerprint, hashed only when output asks for it."""
+        return None if self.source is None else self.source.fingerprint
+
+    @property
     def failed(self) -> bool:
         return self.status == "fail"
 
 
-def _passed(check, ring, fp, detail=""):
-    return CheckResult(check, ring, fp, "pass", detail=detail)
+def _passed(check, ring, source, detail=""):
+    return CheckResult(check, ring, source, "pass", detail=detail)
 
 
-def _failed(check, ring, fp, witness, detail=""):
-    return CheckResult(check, ring, fp, "fail", witness=witness, detail=detail)
+def _failed(check, ring, source, witness, detail=""):
+    return CheckResult(check, ring, source, "fail", witness=witness, detail=detail)
 
 
-def _skipped(check, ring, fp, reason):
-    return CheckResult(check, ring, fp, "skipped", reason=reason)
+def _skipped(check, ring, source, reason):
+    return CheckResult(check, ring, source, "skipped", reason=reason)
 
 
 def _power_chain(cls: RingClassification, lattice: IdealLattice) -> list[Ideal]:
@@ -92,11 +101,10 @@ def check_subideal_count_lemma(r: FiniteRing, lattice: IdealLattice,
     the sub-ideal counts must satisfy |sub(I)| = |sub(I & m^n)| + 1."""
     name = "subideal_count"
     ring = ring_name or r.fingerprint[:12]
-    fp = r.fingerprint
     if not cls.is_local:
-        return [_skipped(name, ring, fp, "non-local ring")]
+        return [_skipped(name, ring, r, "non-local ring")]
     if cls.is_field:
-        return [_skipped(name, ring, fp, "field: no proper nonzero principal ideals")]
+        return [_skipped(name, ring, r, "field: no proper nonzero principal ideals")]
     chain = _power_chain(cls, lattice)  # chain[k] = m^k, chain[0] = R
     principals = _nonzero_principals(r, lattice)
     out = []
@@ -112,9 +120,9 @@ def check_subideal_count_lemma(r: FiniteRing, lattice: IdealLattice,
             label = name_ideal(ideal, lattice)
             detail = f"n={n} I={label}: |sub(I)|={lhs}, |sub(I&m^n)|+1={rhs}"
             if lhs == rhs:
-                out.append(_passed(name, ring, fp, detail))
+                out.append(_passed(name, ring, r, detail))
             else:
-                out.append(_failed(name, ring, fp,
+                out.append(_failed(name, ring, r,
                                    {"n": n, "ideal": label, "lhs": lhs, "rhs": rhs},
                                    detail))
     return out
@@ -127,13 +135,12 @@ def check_socle_containment_lemma(r: FiniteRing, lattice: IdealLattice,
     sub-ideals is annihilated by m^2."""
     name = "socle_containment"
     ring = ring_name or r.fingerprint[:12]
-    fp = r.fingerprint
     if not cls.is_local:
-        return [_skipped(name, ring, fp, "non-local ring")]
+        return [_skipped(name, ring, r, "non-local ring")]
     if cls.is_field:
-        return [_skipped(name, ring, fp, "field: no applicable principal ideals")]
+        return [_skipped(name, ring, r, "field: no applicable principal ideals")]
     if not cls.is_gorenstein:
-        return [_skipped(name, ring, fp,
+        return [_skipped(name, ring, r,
                          f"not Gorenstein (socle dimension {cls.socle_dim})")]
     m2 = ideal_power(cls.m, 2)
     zero_mask = 1 << r.zero
@@ -145,12 +152,12 @@ def check_socle_containment_lemma(r: FiniteRing, lattice: IdealLattice,
         prod = ideal_product(m2, ideal)
         detail = f"I={label}: m^2*I = {name_ideal(prod, lattice)}"
         if prod.mask == zero_mask:
-            out.append(_passed(name, ring, fp, detail))
+            out.append(_passed(name, ring, r, detail))
         else:
-            out.append(_failed(name, ring, fp, {"ideal": label,
+            out.append(_failed(name, ring, r, {"ideal": label,
                                                 "product": list(prod.members)}, detail))
     if not out:
-        out.append(_passed(name, ring, fp,
+        out.append(_passed(name, ring, r,
                            "vacuous: no principal ideal with exactly 3 sub-ideals"))
     return out
 
@@ -162,11 +169,10 @@ def check_spir_chain_lemma(r: FiniteRing, lattice: IdealLattice,
     a power of m; at n = 1 the whole ring must be a special principal ideal ring."""
     name = "spir_chain"
     ring = ring_name or r.fingerprint[:12]
-    fp = r.fingerprint
     if not cls.is_local:
-        return _skipped(name, ring, fp, "non-local ring")
+        return _skipped(name, ring, r, "non-local ring")
     if cls.is_field:
-        return _passed(name, ring, fp, "vacuous: field has no chain levels")
+        return _passed(name, ring, r, "vacuous: field has no chain levels")
     chain = _power_chain(cls, lattice)
     zero_mask = 1 << r.zero
     checked = []
@@ -176,19 +182,19 @@ def check_spir_chain_lemma(r: FiniteRing, lattice: IdealLattice,
         expected = {chain[i].mask for i in range(n, cls.t + 1)}
         actual = {i.mask for i in sub_ideals(chain[n], lattice) if i.mask != zero_mask}
         if actual != expected:
-            return _failed(name, ring, fp, {
+            return _failed(name, ring, r, {
                 "n": n,
                 "expected": sorted(name_ideal(Ideal(r, m), lattice) for m in expected),
                 "actual": sorted(name_ideal(Ideal(r, m), lattice) for m in actual),
             }, f"n={n}: sub-ideals of m^{n} are not the chain of powers")
         if n == 1 and not cls.is_spir:
-            return _failed(name, ring, fp, {"n": 1, "is_spir": False},
+            return _failed(name, ring, r, {"n": 1, "is_spir": False},
                            "v.dim m/m^2 = 1 but ring not flagged SPIR")
         checked.append(n)
     if checked:
-        return _passed(name, ring, fp,
+        return _passed(name, ring, r,
                        "chain levels verified at n=" + ",".join(map(str, checked)))
-    return _passed(name, ring, fp, "vacuous: no level with v.dim 1")
+    return _passed(name, ring, r, "vacuous: no level with v.dim 1")
 
 
 def check_unique_minimal_and_socle(r: FiniteRing, lattice: IdealLattice,
@@ -197,13 +203,12 @@ def check_unique_minimal_and_socle(r: FiniteRing, lattice: IdealLattice,
     """Local Gorenstein non-fields: Ann(m) = m^t and m^t is the unique minimal ideal."""
     name = "unique_minimal_socle"
     ring = ring_name or r.fingerprint[:12]
-    fp = r.fingerprint
     if not cls.is_local:
-        return _skipped(name, ring, fp, "non-local ring")
+        return _skipped(name, ring, r, "non-local ring")
     if cls.is_field:
-        return _skipped(name, ring, fp, "field: zero ideal is maximal")
+        return _skipped(name, ring, r, "field: zero ideal is maximal")
     if not cls.is_gorenstein:
-        return _skipped(name, ring, fp,
+        return _skipped(name, ring, r,
                         f"not Gorenstein (socle dimension {cls.socle_dim})")
     mt = ideal_power(cls.m, cls.t)
     minimal = unique_minimal_ideal(lattice, cls)
@@ -212,8 +217,8 @@ def check_unique_minimal_and_socle(r: FiniteRing, lattice: IdealLattice,
     detail = (f"socle={name_ideal(cls.socle, lattice)} m^t={name_ideal(mt, lattice)} "
               f"unique_minimal={'none' if minimal is None else name_ideal(minimal, lattice)}")
     if ok_socle and ok_min:
-        return _passed(name, ring, fp, detail)
-    return _failed(name, ring, fp, {
+        return _passed(name, ring, r, detail)
+    return _failed(name, ring, r, {
         "socle": list(cls.socle.members),
         "m_power_t": list(mt.members),
         "unique_minimal": None if minimal is None else list(minimal.members),
@@ -289,19 +294,18 @@ UNREACHABLE_FACTS = (
 
 
 def _shape_checks(ring_name, r, lattice, cls, ag, solve_genus) -> list[CheckResult]:
-    fp = r.fingerprint
     out = []
 
     name = "t1_two_proper_ideals"
     if cls.is_local and cls.is_gorenstein and not cls.is_field and cls.t == 1:
         detail = f"ideal_count={cls.ideal_count}"
         if cls.ideal_count == 3:
-            out.append(_passed(name, ring_name, fp, detail))
+            out.append(_passed(name, ring_name, r, detail))
         else:
-            out.append(_failed(name, ring_name, fp,
+            out.append(_failed(name, ring_name, r,
                                {"ideal_count": cls.ideal_count}, detail))
     else:
-        out.append(_skipped(name, ring_name, fp,
+        out.append(_skipped(name, ring_name, r,
                             "needs a local Gorenstein non-field with t = 1"))
 
     for name, t_wanted, profile, kind in (
@@ -311,25 +315,25 @@ def _shape_checks(ring_name, r, lattice, cls, ag, solve_genus) -> list[CheckResu
         applicable = (cls.is_local and cls.is_gorenstein and not cls.is_field
                       and cls.t == t_wanted and cls.vdim_profile == profile)
         if not applicable:
-            out.append(_skipped(name, ring_name, fp,
+            out.append(_skipped(name, ring_name, r,
                                 f"needs local Gorenstein, t = {t_wanted}, "
                                 f"v.dim profile {list(profile)}"))
             continue
         matched = match_shape(ag, kind)
         if matched is None:
-            out.append(_failed(name, ring_name, fp,
+            out.append(_failed(name, ring_name, r,
                                {"edges": [list(e) for e in ag.edges]},
                                f"graph does not match {kind}"))
             continue
         res = solve_genus()
         if not res.exact:
-            out.append(_skipped(name, ring_name, fp, "genus budget exhausted"))
+            out.append(_skipped(name, ring_name, r, "genus budget exhausted"))
         elif res.upper != 0:
-            out.append(_failed(name, ring_name, fp, {"genus": res.upper},
+            out.append(_failed(name, ring_name, r, {"genus": res.upper},
                                f"{kind} matched but genus = {res.upper}"))
         else:
             center = ag.vertices[matched.centers[0]]
-            out.append(_passed(name, ring_name, fp,
+            out.append(_passed(name, ring_name, r,
                                f"{kind} centered at {center}, genus 0 "
                                f"({len(matched.leaves)} leaves)"))
 
@@ -341,38 +345,37 @@ def _shape_checks(ring_name, r, lattice, cls, ag, solve_genus) -> list[CheckResu
             hit = m
             break
     if hit is None:
-        out.append(_passed(name, ring_name, fp, "no shape match"))
+        out.append(_passed(name, ring_name, r, "no shape match"))
     elif is_planar(ag):
-        out.append(_passed(name, ring_name, fp, f"{hit.kind} match and planar"))
+        out.append(_passed(name, ring_name, r, f"{hit.kind} match and planar"))
     else:
-        out.append(_failed(name, ring_name, fp,
+        out.append(_failed(name, ring_name, r,
                            {"kind": hit.kind, "edges": [list(e) for e in ag.edges]},
                            f"{hit.kind} matched but graph is non-planar"))
     return out
 
 
 def _genus_checks(ring_name, r, ag, solve_genus) -> list[CheckResult]:
-    fp = r.fingerprint
     res = solve_genus()
     if not res.exact:
         reason = "budget exhausted on genus computation"
-        return [_skipped("ag_genus", ring_name, fp, reason),
-                _skipped("euler_bound_le_genus", ring_name, fp, reason),
-                _skipped("planar_iff_genus_zero", ring_name, fp, reason)]
+        return [_skipped("ag_genus", ring_name, r, reason),
+                _skipped("euler_bound_le_genus", ring_name, r, reason),
+                _skipped("planar_iff_genus_zero", ring_name, r, reason)]
     g = res.upper
-    out = [_passed("ag_genus", ring_name, fp, f"genus={g}")]
+    out = [_passed("ag_genus", ring_name, r, f"genus={g}")]
     lb = euler_lower_bound(ag)
     if lb <= g:
-        out.append(_passed("euler_bound_le_genus", ring_name, fp, f"{lb} <= {g}"))
+        out.append(_passed("euler_bound_le_genus", ring_name, r, f"{lb} <= {g}"))
     else:
-        out.append(_failed("euler_bound_le_genus", ring_name, fp,
+        out.append(_failed("euler_bound_le_genus", ring_name, r,
                            {"euler": lb, "genus": g}, f"{lb} > {g}"))
     planar = is_planar(ag)
     if planar == (g == 0):
-        out.append(_passed("planar_iff_genus_zero", ring_name, fp,
+        out.append(_passed("planar_iff_genus_zero", ring_name, r,
                            f"planar={planar} genus={g}"))
     else:
-        out.append(_failed("planar_iff_genus_zero", ring_name, fp,
+        out.append(_failed("planar_iff_genus_zero", ring_name, r,
                            {"planar": planar, "genus": g},
                            f"planar={planar} but genus={g}"))
     return out
@@ -464,12 +467,12 @@ def run_suite(corpus=None, suite: str = "all", *,
             name, ring = entry
         report = validate_ring(ring)
         if not report.ok:
-            results.append(_failed("ring_axioms", name, ring.fingerprint,
+            results.append(_failed("ring_axioms", name, ring,
                                    {"axiom": report.axiom,
                                     "witness": list(report.witness)},
                                    f"{report.axiom} fails at {report.witness}"))
             continue
-        results.append(_passed("ring_axioms", name, ring.fingerprint))
+        results.append(_passed("ring_axioms", name, ring))
         lattice = all_ideals(ring)
         cls = classify(ring, lattice)
         if "lemmas" in want:

@@ -4,6 +4,8 @@ The oracles deliberately avoid the library's own algorithms: ring axioms
 by exhaustive triple loops, ideal enumeration by exhaustive subset closure,
 annihilating-ideal graphs by elementwise pairwise products, genus by full
 rotation-system enumeration, and Z_n ideal structure by divisor arithmetic.
+``genus_exact_whole`` is the one oracle built on the library's search: it
+runs it once over a whole graph, without reductions or components.
 """
 
 from __future__ import annotations
@@ -14,7 +16,16 @@ from itertools import permutations, product as iproduct
 import numpy as np
 import pytest
 
-from annigraph.genus import verify_embedding
+from annigraph.genus import (
+    GenusResult,
+    _Budget,
+    _adjacency_dict,
+    _component_euler_bound,
+    _components,
+    _connected_edge_order,
+    _EmbeddingSearch,
+    verify_embedding,
+)
 from annigraph.rings import FiniteRing, ValidationReport, make_structure_constants
 from annigraph.specs import builtin_corpus
 
@@ -183,6 +194,27 @@ def brute_force_genus(graph, cap: int = 200_000) -> int:
             if best == 0:
                 break
     return 0 if best is None else best
+
+
+def genus_exact_whole(g) -> GenusResult:
+    """Exact genus by one unbudgeted search over the whole (possibly
+    disconnected) graph: no reductions, no component decomposition and no
+    planarity rung.  Cross-checks that ``genus_exact`` is additive over
+    components.
+    """
+    budget = _Budget(None, None)
+    adj = _adjacency_dict(g)
+    comps = [c for c in _components(adj) if len(c) > 1]
+    edges = [e for comp in comps for e in _connected_edge_order(comp, adj)]
+    search = _EmbeddingSearch([v for comp in comps for v in comp], edges, budget)
+    best, upper = search.run(None)
+    for target in range(sum(_component_euler_bound(c, adj) for c in comps), upper):
+        found, genus = search.run(target)
+        if found is not None:
+            best, upper = found, genus
+            break
+    witness = tuple(tuple(best.get(v, ())) for v in range(g.n_vertices))
+    return GenusResult(upper, upper, "exact", witness, nodes=budget.nodes)
 
 
 def quadratic_sc_table(p: int):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -124,6 +125,17 @@ def test_genus_budget_exit_code(capsys):
     code, out, _ = run(capsys, "genus", "cat:k7", "--budget-nodes", "1")
     assert code == 3
     assert out.startswith("budget_exhausted")
+
+
+def test_genus_deep_graph_exits_with_bounds(capsys):
+    # K_46 needs one search level per edge (1,035); the search keeps its own
+    # stack, so the budget ends the run, not the recursion limit.
+    code, out, err = run(capsys, "genus", "cat:k46", "--budget-nodes", "2000")
+    assert code == 3
+    assert re.fullmatch(r"budget_exhausted lower=\d+ upper=\d+\n", out)
+    lower, upper = map(int, re.findall(r"\d+", out))
+    assert 151 <= lower <= upper
+    assert "Traceback" not in err
 
 
 def test_genus_env_budget(capsys, monkeypatch):

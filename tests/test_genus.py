@@ -11,11 +11,12 @@ from annigraph.genus import (
     is_planar,
     planar_rotation,
     verify_embedding,
-    _genus_exact_whole,
 )
-from annigraph.graphs import complete_bipartite, complete_graph, simple_graph
+from annigraph.graphs import build_ag, complete_bipartite, complete_graph, simple_graph
+from annigraph.ideals import all_ideals
+from annigraph.specs import parse_ring_spec
 
-from conftest import brute_force_genus, rotation_count
+from conftest import brute_force_genus, genus_exact_whole, rotation_count
 
 
 def disjoint_union(g, h):
@@ -28,6 +29,26 @@ def disjoint_union(g, h):
 def random_graph(rng, n, p):
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
     return simple_graph([str(v) for v in range(n)], edges)
+
+
+def petersen_graph():
+    return simple_graph(
+        [str(i) for i in range(10)],
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+
+
+def hypercube(d):
+    edges = [(i, i ^ (1 << k)) for i in range(1 << d) for k in range(d)
+             if i < i ^ (1 << k)]
+    return simple_graph([str(i) for i in range(1 << d)], edges)
+
+
+def ag_of(spec):
+    ring = parse_ring_spec(spec).build()
+    return build_ag(ring, all_ideals(ring))
 
 
 def test_complete_formula_values():
@@ -152,12 +173,12 @@ def test_disjoint_union_additivity_fixture():
     assert res.exact and res.upper == 2
     assert verify_embedding(union, res.witness) == 2
     # Same instance through the undecomposed whole-graph search.
-    whole = _genus_exact_whole(union)
+    whole = genus_exact_whole(union)
     assert whole.exact and whole.upper == 2
     # Brute-forceable union: K_4 + K_{3,3} has genus 0 + 1.
     small = disjoint_union(complete_graph(4), complete_bipartite(3, 3))
     assert genus_exact(small).upper == 1
-    assert _genus_exact_whole(small).upper == 1
+    assert genus_exact_whole(small).upper == 1
     assert brute_force_genus(small) == 1
 
 
@@ -228,3 +249,56 @@ def test_edge_deletion_never_increases_genus():
         sub = simple_graph(k5.vertices, edges)
         assert genus_exact(sub).upper <= genus_exact(k5).upper
         assert genus_exact(sub).upper == 0  # K_5 minus any edge is planar
+
+
+@pytest.mark.parametrize("graph,nodes", [
+    (lambda: complete_graph(8), 8_913),
+    (lambda: complete_graph(9), 12_693),
+    (lambda: hypercube(4), 15_376),
+])
+def test_search_order_node_counts_are_pinned(graph, nodes):
+    # Euler bound >= 1 on all three, so the planarity rung never fires and
+    # the count measures the corner search and its candidate order alone.
+    g = graph()
+    assert euler_lower_bound(g) >= 1
+    res = genus_exact(g)
+    assert res.exact and res.nodes == nodes
+    assert verify_embedding(g, res.witness) == res.upper
+
+
+def test_planarity_rung_proves_genus_at_least_one():
+    # Euler bound 0, non-planar: the LR test alone lifts the lower bound.
+    petersen = petersen_graph()
+    assert euler_lower_bound(petersen) == 0
+    res = genus_exact(petersen, node_budget=1)
+    assert res.status == "budget_exhausted"
+    assert res.lower == 1
+
+
+@pytest.mark.parametrize("g", [hypercube(3), ag_of("prod:(zn:4,zn:27)"),
+                               complete_graph(4)])
+def test_planar_graph_solves_without_search(g):
+    res = genus_exact(g, node_budget=0)
+    assert res.exact and res.upper == 0
+    assert res.nodes == 0
+    assert verify_embedding(g, res.witness) == 0
+
+
+def test_planarity_rung_skips_rung_zero_on_ag():
+    g = ag_of("prod:(zn:3,cat:f2xy_x2y2)")
+    res = genus_exact(g)
+    assert res.exact and res.upper == 1
+    assert res.nodes <= 7_422
+    assert verify_embedding(g, res.witness) == 1
+
+
+def test_deep_graph_degrades_to_bounds():
+    # AG(Z4^4): 79 vertices, 560 edges, far deeper than the interpreter's
+    # recursion limit allows a recursive search to go.
+    g = ag_of("prod:(zn:4,prod:(zn:4,prod:(zn:4,zn:4)))")
+    assert (g.n_vertices, g.n_edges) == (79, 560)
+    res = genus_exact(g, node_budget=2000)
+    assert res.status == "budget_exhausted"
+    assert res.upper is not None and res.lower <= res.upper
+    assert res.lower >= euler_lower_bound(g)
+    assert verify_embedding(g, res.witness) == res.upper

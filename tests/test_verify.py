@@ -210,3 +210,19 @@ def test_suite_solves_each_genus_at_most_once(monkeypatch):
     calls.clear()
     run_suite(suite="lemmas")
     assert calls == []
+
+
+def test_text_report_leaves_ring_fingerprints_unhashed(capsys, monkeypatch):
+    from annigraph import specs
+    from annigraph.cli import main
+
+    fresh = specs.builtin_corpus.__wrapped__()
+    monkeypatch.setattr(specs, "builtin_corpus", lambda: fresh)
+    assert main(["verify", "--suite", "all"]) == 0
+    assert "summary:" in capsys.readouterr().out
+    assert all("fingerprint" not in vars(ring) for _, ring in fresh)
+    report = run_suite(fresh, "genus")
+    assert all("fingerprint" not in vars(ring) for _, ring in fresh)
+    by_name = dict(fresh)
+    for res in report.results:
+        assert res.fingerprint == by_name[res.ring].fingerprint
