@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .ideals import (
     Ideal,
     IdealLattice,
-    annihilator,
     ideal_product,
     name_ideal,
     sub_ideals,
@@ -144,7 +143,7 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
             raise RingError(f"|m^{k + 1}/m^{k + 2}| is not a power of q={q}")
         profile.append(d)
 
-    socle = annihilator(m)
+    socle = Ideal(r, lattice.annihilators[lattice.index_of(m)])
     socle_dim = _power_exponent(socle.cardinality, q)
     if socle_dim is None:
         raise RingError("socle size is not a power of the residue size")

@@ -7,12 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ideals import (
-    IdealLattice,
-    annihilating_ideals,
-    ideal_product,
-    name_ideal,
-)
+from .ideals import IdealLattice, annihilating_ideals, name_ideal
 from .rings import FiniteRing
 
 
@@ -94,15 +89,14 @@ def complete_bipartite(m: int, n: int) -> SimpleGraph:
 
 def build_ag(r: FiniteRing, lattice: IdealLattice) -> SimpleGraph:
     """The annihilating-ideal graph: vertices are nonzero ideals with nonzero
-    annihilator; distinct I, J are adjacent exactly when IJ = (0)."""
+    annihilator; distinct I, J are adjacent exactly when IJ = (0), that is
+    when J lies in Ann(I)."""
     verts = annihilating_ideals(lattice)
     labels = [name_ideal(i, lattice) for i in verts]
-    zero_mask = 1 << r.zero
-    edges = []
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            if ideal_product(verts[a], verts[b]).mask == zero_mask:
-                edges.append((a, b))
+    masks = [i.mask for i in verts]
+    anns = [lattice.annihilators[lattice.index_of(i)] for i in verts]
+    edges = [(a, b) for a, ann in enumerate(anns)
+             for b in range(a + 1, len(verts)) if masks[b] & ~ann == 0]
     return simple_graph(labels, edges)
 
 

@@ -1,16 +1,34 @@
 """Ideals of a finite commutative ring and the complete ideal lattice.
 
 An ideal is stored as a bitmask over element indices, so membership is O(1)
-and set algebra is a couple of word operations.  Sums and products of ideals
-come from one gather over the ring's tables (``_image``).  The lattice is
-generated by seeding with all principal ideals and closing under pairwise
-sums, which is complete because every ideal of a finite unital ring is a
-finite sum of principal ideals.
+and set algebra is a couple of word operations.
+
+The principal ideal Rx is the value set of row x of the multiplication
+table, so one scatter over the table gives the mask of every principal
+ideal; the lattice keeps them (``IdealLattice.principals``) for naming
+ideals and for annihilators.  ``all_ideals`` seeds the lattice with them and
+adds each ideal it finds to the principal seeds only.  That is complete:
+every ideal I of a finite unital ring is the sum Rx_1 + ... + Rx_k of the
+principal ideals of its members, and the chain Rx_1, Rx_1 + Rx_2, ...
+reaches I one seed at a time, each link the sum of a found ideal and a seed.
+
+The sums I + P over all seeds P come from I's coset labels.  I is an
+additive subgroup, so label(z) = min(add[I, z]), the least element of
+I + z, names the coset of z, and I + P is the union of the cosets that meet
+P: I + P = {z : label(z) in label(P)}.  One gather of the addition table's
+rows at I's members labels every element, and one more gather gives the
+sums for all seeds at once, instead of one |I| x |P| gather per pair.
+
+Adjacency in the annihilating-ideal graph needs no products: IJ = (0)
+exactly when J lies in Ann(I), one AND of two masks.  Sums and products of
+single ideals still come from one gather over the ring's tables
+(``_image``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +36,10 @@ from .rings import FiniteRing, RingError
 
 # Abort lattice enumeration beyond this many ideals.
 LATTICE_CAP = 100_000
+
+# Most entries one transient table gather may hold; bounds memory near the
+# ring size cap.
+_GATHER_CAP = 1 << 20
 
 
 def _bits(mask: int):
@@ -59,10 +81,15 @@ class Ideal:
 
 @dataclass(frozen=True)
 class IdealLattice:
-    """All ideals of a ring, sorted by (cardinality, member list)."""
+    """All ideals of a ring, sorted by (cardinality, member list).
+
+    ``principals`` maps the mask of each distinct principal ideal to its
+    least generator, in generator order.
+    """
 
     ring: FiniteRing
     ideals: tuple[Ideal, ...]
+    principals: dict[int, int] = field(repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_mask", {i.mask: k for k, i in enumerate(self.ideals)})
@@ -84,6 +111,28 @@ class IdealLattice:
     def unit(self) -> Ideal:
         return self.ideals[-1]
 
+    @cached_property
+    def annihilators(self) -> tuple[int, ...]:
+        """The mask of Ann(I) for each ideal I, in lattice order.
+
+        Ann(I) is the meet of Ann(g) over the least generators g of the
+        principal ideals inside I, since those ideals sum to I; Ann(g) is
+        the zero set of row g of ``mul``.
+        """
+        r = self.ring
+        gens = np.array(list(self.principals.values()), dtype=np.intp)
+        kills = [k for rows in _row_blocks(len(gens), r.size)
+                 for k in _packed_rows(r.mul[gens[rows]] == r.zero)]
+        pairs = list(zip(self.principals, kills))
+        out = []
+        for i in self.ideals:
+            ann = (1 << r.size) - 1
+            for m, k in pairs:
+                if m & ~i.mask == 0:
+                    ann &= k
+            out.append(ann)
+        return tuple(out)
+
 
 def _require_same_ring(i: Ideal, j: Ideal):
     if i.ring != j.ring:
@@ -99,6 +148,18 @@ def _indices(mask: int, n: int) -> np.ndarray:
 def _pack(flags: np.ndarray) -> int:
     """The bitmask of a boolean array over element indices."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _packed_rows(flags: np.ndarray) -> list[int]:
+    """The bitmask of each row of a boolean matrix over element indices."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _row_blocks(n: int, width: int):
+    """Slices of 0..n-1 whose rows of ``width`` entries stay under the gather cap."""
+    step = max(1, _GATHER_CAP // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def _image(table: np.ndarray, m1: int, m2: int) -> int:
@@ -117,7 +178,32 @@ def principal_ideal(r: FiniteRing, x: int) -> Ideal:
     """Rx, the set of ring multiples of x (an ideal since r is commutative unital)."""
     if not (0 <= x < r.size):
         raise RingError(f"element index {x} out of range")
-    return Ideal(r, _image(r.mul, (1 << r.size) - 1, 1 << x))
+    flags = np.zeros(r.size, dtype=bool)
+    flags[r.mul[x]] = True
+    return Ideal(r, _pack(flags))
+
+
+def _least_generators(r: FiniteRing) -> dict[int, int]:
+    """Each distinct principal ideal's mask -> its least generator, in
+    generator order.  The mask of Rx is the value set of row x of ``mul``."""
+    n = r.size
+    flags = np.zeros((n, n), dtype=bool)
+    for rows in _row_blocks(n, n):
+        block = r.mul[rows]
+        flags[rows][np.arange(len(block))[:, None], block] = True
+    out = {}
+    for x, mask in enumerate(_packed_rows(flags)):
+        out.setdefault(mask, x)
+    return out
+
+
+def _coset_labels(r: FiniteRing, members: np.ndarray) -> np.ndarray:
+    """label(z) = min(add[I, z]), the least element of I + z, for every element z;
+    I is the subgroup of ``members``."""
+    labels = np.full(r.size, r.size, dtype=np.int32)
+    for rows in _row_blocks(len(members), r.size):
+        np.minimum(labels, r.add[members[rows]].min(axis=0), out=labels)
+    return labels
 
 
 def _close_under_add(r: FiniteRing, mask: int) -> int:
@@ -164,32 +250,41 @@ def annihilator(i: Ideal) -> Ideal:
     return Ideal(r, _pack((r.mul[:, members] == r.zero).all(axis=1)))
 
 
-def all_ideals(r: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
-    """Enumerate every ideal: principal seeds, then pairwise-sum closure."""
-    seeds = {principal_ideal(r, x).mask for x in range(r.size)}
-    known = set(seeds)
-    queue = sorted(seeds)
+def _check_cap(known: set, r: FiniteRing, cap: int):
     if len(known) > cap:
         raise RingError(
             f"ideal lattice exceeds cap ({cap}); "
             f"ring fingerprint {r.fingerprint[:12]}"
         )
+
+
+def all_ideals(r: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
+    """Enumerate every ideal: principal seeds, then sums of found ideals and seeds."""
+    n = r.size
+    principals = _least_generators(r)
+    known = set(principals)
+    _check_cap(known, r, cap)
+    # (0) + P = P and R + P = R, so neither is a seed nor ever queued.
+    seeds = [m for m in principals if m not in (1 << r.zero, (1 << n) - 1)]
+    queue = list(seeds)
+    # (seed, member) pairs, for marking the cosets each seed meets.
+    flags = np.zeros((len(seeds), n), dtype=bool)
+    for k, m in enumerate(seeds):
+        flags[k, _indices(m, n)] = True
+    seed_of, member = np.nonzero(flags)
     while queue:
-        m1 = queue.pop()
-        for m2 in list(known):
-            if (m1 | m2) in (m1, m2):
-                continue  # nested ideals: the sum is the larger, already known
-            s = _image(r.add, m1, m2)
+        labels = _coset_labels(r, _indices(queue.pop(), n))
+        meets = np.zeros((len(seeds), n), dtype=bool)
+        meets[seed_of, labels[member]] = True
+        # A seed inside I meets only the coset I itself; its sum is I.
+        grows = np.count_nonzero(meets, axis=1) > 1
+        for s in _packed_rows(meets[grows][:, labels]):
             if s not in known:
                 known.add(s)
                 queue.append(s)
-                if len(known) > cap:
-                    raise RingError(
-                        f"ideal lattice exceeds cap ({cap}); "
-                        f"ring fingerprint {r.fingerprint[:12]}"
-                    )
+                _check_cap(known, r, cap)
     masks = sorted(known, key=lambda m: (m.bit_count(), tuple(_bits(m))))
-    return IdealLattice(r, tuple(Ideal(r, m) for m in masks))
+    return IdealLattice(r, tuple(Ideal(r, m) for m in masks), principals)
 
 
 def sub_ideals(j: Ideal, lattice: IdealLattice) -> list[Ideal]:
@@ -202,27 +297,28 @@ def sub_ideals(j: Ideal, lattice: IdealLattice) -> list[Ideal]:
 def annihilating_ideals(lattice: IdealLattice) -> list[Ideal]:
     """Nonzero ideals with nonzero annihilator, in lattice order."""
     zero_mask = 1 << lattice.ring.zero
-    out = []
-    for i in lattice.ideals:
-        if i.mask == zero_mask:
-            continue
-        if annihilator(i).mask != zero_mask:
-            out.append(i)
-    return out
+    return [i for i, ann in zip(lattice.ideals, lattice.annihilators)
+            if zero_mask not in (i.mask, ann)]
 
 
 def name_ideal(ideal: Ideal, lattice: IdealLattice | None = None) -> str:
     """Generator-based display name: "(x)", "(x,y)", or "I#k" past 2 generators."""
     r = ideal.ring
-    members = ideal.members
-    for x in members:
-        if principal_ideal(r, x).mask == ideal.mask:
-            return f"({r.labels[x]})"
-    nonzero = [x for x in members if x != r.zero]
-    for ai, a in enumerate(nonzero):
-        pa = principal_ideal(r, a)
-        for b in nonzero[ai + 1:]:
-            if ideal_sum(pa, principal_ideal(r, b)).mask == ideal.mask:
+    principals = lattice.principals if lattice is not None else _least_generators(r)
+    x = principals.get(ideal.mask)
+    if x is not None:
+        return f"({r.labels[x]})"
+    # The first pair a < b of nonzero members, in member order, with
+    # Ra + Rb = I.  A pair with a member that is not the least generator of
+    # its principal ideal never comes first: the pair of least generators
+    # has the same sum and comes earlier.  Ra + Rb lies in I, and
+    # |Ra + Rb| = |Ra| |Rb| / |Ra & Rb| for subgroups, so counting decides it.
+    size = ideal.cardinality
+    inside = [(g, m, m.bit_count()) for m, g in principals.items()
+              if m & ~ideal.mask == 0 and g != r.zero]
+    for k, (a, ma, ca) in enumerate(inside):
+        for b, mb, cb in inside[k + 1:]:
+            if ca * cb == size * (ma & mb).bit_count():
                 return f"({r.labels[a]},{r.labels[b]})"
     if lattice is not None:
         return f"I#{lattice.index_of(ideal)}"

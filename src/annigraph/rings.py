@@ -47,7 +47,11 @@ class ValidationReport:
 
 
 def _frozen_table(name: str, table, n: int) -> np.ndarray:
-    """``table`` as a read-only int32 n x n array of indices in 0..n-1."""
+    """``table`` as a read-only int32 n x n array of indices in 0..n-1.
+
+    A read-only int32 array is kept as it is; anything else, a caller's
+    writable array included, is copied.
+    """
     try:
         arr = np.asarray(table)
     except ValueError as exc:
@@ -56,14 +60,20 @@ def _frozen_table(name: str, table, n: int) -> np.ndarray:
         raise RingError(f"{name} table has shape {arr.shape}, expected ({n}, {n})")
     if arr.dtype.kind not in "iu":
         raise RingError(f"{name} table entries must be integers, not {arr.dtype}")
-    bad = np.argwhere((arr < 0) | (arr >= n))
-    if len(bad):
-        i, j = bad[0]
+    if arr.min() < 0 or arr.max() >= n:
+        i, j = np.argwhere((arr < 0) | (arr >= n))[0]
         raise RingError(f"{name} table entry {arr[i, j]} out of range at row {i}")
     if arr.dtype != np.int32 or arr.flags.writeable:
         arr = arr.astype(np.int32)
     arr.flags.writeable = False
     return arr
+
+
+def _owned(table: np.ndarray) -> np.ndarray:
+    """A table built here, as int32 and read-only, so ``FiniteRing`` keeps it."""
+    table = table.astype(np.int32, copy=False)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +167,10 @@ def make_zn(n: int) -> FiniteRing:
     if n > MAX_RING_SIZE:
         raise RingError(f"ring size {n} exceeds the cap of {MAX_RING_SIZE}")
     i = np.arange(n, dtype=np.int32)
-    return FiniteRing(size=n, add=(i[:, None] + i) % n, mul=(i[:, None] * i) % n)
+    add, mul = i[:, None] + i, i[:, None] * i
+    add %= n
+    mul %= n
+    return FiniteRing(size=n, add=_owned(add), mul=_owned(mul))
 
 
 def make_product(a: FiniteRing, b: FiniteRing) -> FiniteRing:
@@ -168,7 +181,7 @@ def make_product(a: FiniteRing, b: FiniteRing) -> FiniteRing:
         raise RingError(f"product size {n} exceeds the cap of {MAX_RING_SIZE}")
 
     def table(ta, tb):
-        return (ta[:, None, :, None] * nb + tb[None, :, None, :]).reshape(n, n)
+        return _owned((ta[:, None, :, None] * nb + tb[None, :, None, :]).reshape(n, n))
 
     labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
     one = a.one * nb + b.one
@@ -216,7 +229,7 @@ def _algebra(p: int, basis_labels, consts: np.ndarray) -> FiniteRing:
     for u, i, prev in steps:
         mul[u] = add[mul[prev], times_basis[i]]
     labels = tuple(_algebra_label(v, basis_labels) for v in vecs.tolist())
-    return FiniteRing(size=n, add=add, mul=mul, labels=labels)
+    return FiniteRing(size=n, add=_owned(add), mul=_owned(mul), labels=labels)
 
 
 def make_structure_constants(modulus, rank, basis_labels, mult_table) -> FiniteRing:
@@ -439,11 +452,12 @@ def quotient_ring(r: FiniteRing, ideal) -> FiniteRing:
     # least element.
     rep = r.add[:, members].min(axis=1)
     reps = np.unique(rep)
-    coset = np.searchsorted(reps, rep)
+    coset = np.searchsorted(reps, rep).astype(np.int32)
     grid = np.ix_(reps, reps)
     labels = tuple(f"[{r.labels[a]}]" for a in reps)
-    return FiniteRing(size=len(reps), add=coset[r.add[grid]], mul=coset[r.mul[grid]],
-                      one=int(coset[r.one]), labels=labels)
+    return FiniteRing(size=len(reps), add=_owned(coset[r.add[grid]]),
+                      mul=_owned(coset[r.mul[grid]]), one=int(coset[r.one]),
+                      labels=labels)
 
 
 def ring_to_json(r: FiniteRing) -> dict:
@@ -473,11 +487,12 @@ def ring_from_json(data: dict) -> FiniteRing:
     if zero == 0:
         return ring
     # Swap indices 0 and zero so that the additive identity sits at 0.
-    perm = np.arange(size)
+    perm = np.arange(size, dtype=np.int32)
     perm[[0, zero]] = zero, 0
     grid = np.ix_(perm, perm)
-    return FiniteRing(size=size, add=perm[ring.add[grid]], mul=perm[ring.mul[grid]],
-                      one=int(perm[one]), labels=tuple(ring.labels[i] for i in perm))
+    return FiniteRing(size=size, add=_owned(perm[ring.add[grid]]),
+                      mul=_owned(perm[ring.mul[grid]]), one=int(perm[one]),
+                      labels=tuple(ring.labels[i] for i in perm))
 
 
 def ring_from_sc_json(data: dict) -> FiniteRing:

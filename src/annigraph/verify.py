@@ -32,7 +32,6 @@ from .ideals import (
     ideal_power,
     ideal_product,
     name_ideal,
-    principal_ideal,
     sub_ideals,
 )
 from .rings import FiniteRing, validate_ring
@@ -84,14 +83,9 @@ def _power_chain(cls: RingClassification, lattice: IdealLattice) -> list[Ideal]:
 
 
 def _nonzero_principals(r: FiniteRing, lattice: IdealLattice):
-    """Distinct nonzero principal ideals, keyed by smallest generator."""
+    """Distinct nonzero principal ideals, smallest generator first."""
     zero_mask = 1 << r.zero
-    seen = {}
-    for x in range(r.size):
-        ideal = principal_ideal(r, x)
-        if ideal.mask != zero_mask and ideal.mask not in seen:
-            seen[ideal.mask] = ideal
-    return list(seen.values())
+    return [Ideal(r, m) for m in lattice.principals if m != zero_mask]
 
 
 def check_subideal_count_lemma(r: FiniteRing, lattice: IdealLattice,
@@ -293,7 +287,8 @@ UNREACHABLE_FACTS = (
 )
 
 
-def _shape_checks(ring_name, r, lattice, cls, ag, solve_genus) -> list[CheckResult]:
+def _shape_checks(ring_name, r, lattice, cls, ag, solve_genus,
+                  check_planar) -> list[CheckResult]:
     out = []
 
     name = "t1_two_proper_ideals"
@@ -346,7 +341,7 @@ def _shape_checks(ring_name, r, lattice, cls, ag, solve_genus) -> list[CheckResu
             break
     if hit is None:
         out.append(_passed(name, ring_name, r, "no shape match"))
-    elif is_planar(ag):
+    elif check_planar():
         out.append(_passed(name, ring_name, r, f"{hit.kind} match and planar"))
     else:
         out.append(_failed(name, ring_name, r,
@@ -355,7 +350,7 @@ def _shape_checks(ring_name, r, lattice, cls, ag, solve_genus) -> list[CheckResu
     return out
 
 
-def _genus_checks(ring_name, r, ag, solve_genus) -> list[CheckResult]:
+def _genus_checks(ring_name, r, ag, solve_genus, check_planar) -> list[CheckResult]:
     res = solve_genus()
     if not res.exact:
         reason = "budget exhausted on genus computation"
@@ -370,7 +365,7 @@ def _genus_checks(ring_name, r, ag, solve_genus) -> list[CheckResult]:
     else:
         out.append(_failed("euler_bound_le_genus", ring_name, r,
                            {"euler": lb, "genus": g}, f"{lb} > {g}"))
-    planar = is_planar(ag)
+    planar = check_planar()
     if planar == (g == 0):
         out.append(_passed("planar_iff_genus_zero", ring_name, r,
                            f"planar={planar} genus={g}"))
@@ -482,12 +477,15 @@ def run_suite(corpus=None, suite: str = "all", *,
             results.append(check_unique_minimal_and_socle(ring, lattice, cls, name))
         if "shapes" in want or "genus" in want:
             ag = build_ag(ring, lattice)
-            # Solved at most once per ring, and only when a check asks.
+            # Solved and tested at most once per ring, and only when a check asks.
             solve_genus = functools.cache(lambda: genus_exact(ag, **budgets))
+            check_planar = functools.cache(lambda: is_planar(ag))
             if "shapes" in want:
-                results.extend(_shape_checks(name, ring, lattice, cls, ag, solve_genus))
+                results.extend(_shape_checks(name, ring, lattice, cls, ag,
+                                             solve_genus, check_planar))
             if "genus" in want:
-                results.extend(_genus_checks(name, ring, ag, solve_genus))
+                results.extend(_genus_checks(name, ring, ag, solve_genus,
+                                             check_planar))
 
     if "lemmas" in want:
         for check, hypothesis in UNREACHABLE_FACTS:

@@ -248,6 +248,24 @@ def make_f2xy_x2xyy2() -> FiniteRing:
     return make_structure_constants(2, 3, ("1", "x", "y"), table)
 
 
+def make_f2xyz_m2() -> FiniteRing:
+    """F2[x,y,z]/(x,y,z)^2: 16 elements, its maximal ideal needs three generators."""
+    def e(i):
+        return [1 if j == i else 0 for j in range(4)]
+
+    zero = [0, 0, 0, 0]
+    table = [[e(0), e(1), e(2), e(3)]] + [[e(i), zero, zero, zero] for i in (1, 2, 3)]
+    return make_structure_constants(2, 4, ("1", "x", "y", "z"), table)
+
+
+def product_ideal_sets(left, right, right_size: int) -> set[frozenset]:
+    """Ideals of A x B from those of A and B: exactly the products I x J,
+    since the idempotents (1,0) and (0,1) split any ideal.  Element (a, b)
+    has index a * |B| + b, as in ``make_product``."""
+    return {frozenset(a * right_size + b for a in i for b in j)
+            for i in left for j in right}
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """The frozen corpus as a name -> ring mapping."""

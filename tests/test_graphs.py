@@ -1,6 +1,9 @@
+import functools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annigraph.graphs import (
     build_ag,
@@ -15,8 +18,16 @@ from annigraph.graphs import (
 )
 from annigraph.ideals import all_ideals
 from annigraph.rings import make_poly_quotient, make_zn
+from annigraph.specs import parse_ring_spec
 
-from conftest import brute_ag, brute_force_ideals, make_f2xy_x2y2, zn_ideal_sets
+from conftest import (
+    brute_ag,
+    brute_force_ideals,
+    make_f2xy_x2y2,
+    make_f2xyz_m2,
+    product_ideal_sets,
+    zn_ideal_sets,
+)
 
 
 def edge_labels(g):
@@ -80,6 +91,53 @@ def test_ag_star_for_quadratic():
     g = ag_matches_pairwise_oracle(ring, brute_force_ideals(ring))
     assert g.vertices == ("(xy)", "(x)", "(y)", "(x+y)", "(x,y)")
     assert g.edges == ((0, 1), (0, 2), (0, 3), (0, 4))
+
+
+def test_three_generator_maximal_ideal():
+    # The maximal ideal (x, y, z) of F2[x,y,z]/(x,y,z)^2 is a sum of three
+    # principal ideals, so a closure that stops after one round of seed sums
+    # misses it.
+    ring = make_f2xyz_m2()
+    ideal_sets = brute_force_ideals(ring)
+    assert ring.size == 16 and len(ideal_sets) == 17
+    assert {frozenset(i.members) for i in all_ideals(ring)} == ideal_sets
+    g = ag_matches_pairwise_oracle(ring, ideal_sets)
+    assert g.vertices == (
+        "(x)", "(y)", "(x+y)", "(z)", "(x+z)", "(y+z)", "(x+y+z)",
+        "(x,y)", "(x,z)", "(x,y+z)", "(y,z)", "(y,x+z)", "(x+y,z)", "(x+y,x+z)",
+        "I#15",
+    )
+    assert g.n_edges == 105  # K15: (x, y, z)^2 = (0)
+
+
+_FACTOR_SIZES = {**{f"zn:{n}": n for n in range(2, 9)}, "cat:f4": 4, "cat:f2x_x3": 8}
+
+
+def _order(factors):
+    return math.prod(_FACTOR_SIZES[f] for f in factors)
+
+
+@functools.cache
+def _factor_ideals(spec):
+    return brute_force_ideals(parse_ring_spec(spec).build())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_FACTOR_SIZES)), min_size=2, max_size=3)
+       .filter(lambda factors: _order(factors) <= 32))
+def test_products_match_the_oracles(factors):
+    spec = factors[-1]
+    ideal_sets = _factor_ideals(spec)
+    for k in range(len(factors) - 2, -1, -1):
+        spec = f"prod:({factors[k]},{spec})"
+        ideal_sets = product_ideal_sets(_factor_ideals(factors[k]), ideal_sets,
+                                        _order(factors[k + 1:]))
+    ring = parse_ring_spec(spec).build()
+    assert ring.size == _order(factors)
+    if ring.size <= 16:
+        assert brute_force_ideals(ring) == ideal_sets
+    assert {frozenset(i.members) for i in all_ideals(ring)} == ideal_sets
+    ag_matches_pairwise_oracle(ring, ideal_sets)
 
 
 def test_zero_divisor_graph_fixtures():

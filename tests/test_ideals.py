@@ -17,9 +17,21 @@ from annigraph.ideals import (
     principal_ideal,
     sub_ideals,
 )
-from annigraph.rings import RingError, make_poly_quotient, make_zn
+from annigraph.rings import (
+    RingError,
+    make_poly_quotient,
+    make_product,
+    make_structure_constants,
+    make_zn,
+)
 
-from conftest import brute_force_ideals, divisors, make_f2xy_x2y2, zn_ideal_sets
+from conftest import (
+    brute_force_ideals,
+    divisors,
+    make_f2xy_x2y2,
+    make_f2xyz_m2,
+    zn_ideal_sets,
+)
 
 
 def members(ideal):
@@ -137,6 +149,75 @@ def test_annihilating_ideals_fixtures():
     z4 = make_zn(4)
     lat4 = all_ideals(z4)
     assert [members(i) for i in annihilating_ideals(lat4)] == [{0, 2}]
+
+
+def test_lattice_keeps_principals_and_annihilators():
+    for ring in (make_zn(12), make_zn(36), make_f2xy_x2y2(),
+                 make_poly_quotient(2, (1, 1, 1))):
+        lattice = all_ideals(ring)
+        want = {}
+        for x in range(ring.size):
+            want.setdefault(principal_ideal(ring, x).mask, x)
+        assert list(lattice.principals.items()) == list(want.items())
+        assert lattice.annihilators == tuple(annihilator(i).mask for i in lattice)
+
+
+def _named_by_search(ideal, lattice):
+    """What name_ideal means: the first generator, then the first pair a < b
+    of nonzero members with Ra + Rb = I, by exhaustive search."""
+    r = ideal.ring
+    for x in ideal.members:
+        if principal_ideal(r, x).mask == ideal.mask:
+            return f"({r.labels[x]})"
+    nonzero = [x for x in ideal.members if x != r.zero]
+    for k, a in enumerate(nonzero):
+        for b in nonzero[k + 1:]:
+            if ideal_sum(principal_ideal(r, a), principal_ideal(r, b)).mask == ideal.mask:
+                return f"({r.labels[a]},{r.labels[b]})"
+    return f"I#{lattice.index_of(ideal)}"
+
+
+def _socle_first():
+    """F2[x,y]/(x^2,y^2) with xy as the second basis element, so the least
+    principal ideal inside (x, y) is the socle (xy), in no generating pair."""
+    def e(i):
+        return [1 if j == i else 0 for j in range(4)]
+
+    zero = [0, 0, 0, 0]
+    table = [
+        [e(0), e(1), e(2), e(3)],
+        [e(1), zero, zero, zero],
+        [e(2), zero, zero, e(1)],
+        [e(3), zero, e(1), zero],
+    ]
+    return make_structure_constants(2, 4, ("1", "xy", "x", "y"), table)
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: make_zn(36),
+    make_f2xy_x2y2,
+    _socle_first,
+    make_f2xyz_m2,
+    lambda: make_product(make_zn(4), make_zn(4)),
+    lambda: make_product(make_zn(2), make_poly_quotient(2, (0, 0, 0, 1))),
+])
+def test_name_ideal_matches_exhaustive_search(builder):
+    ring = builder()
+    lattice = all_ideals(ring)
+    assert [name_ideal(i, lattice) for i in lattice] \
+        == [_named_by_search(i, lattice) for i in lattice]
+
+
+def test_socle_first_maximal_ideal_has_two_generators():
+    lattice = all_ideals(_socle_first())
+    assert name_ideal(lattice.ideals[-2], lattice) == "(x,y)"
+
+
+def test_name_ideal_without_lattice():
+    ring = make_f2xy_x2y2()
+    lattice = all_ideals(ring)
+    assert [name_ideal(i) for i in lattice] == [name_ideal(i, lattice) for i in lattice]
+    assert name_ideal(lattice.unit) == "(1)"
 
 
 def test_mixed_ring_operations_rejected():

@@ -8,6 +8,7 @@ from annigraph.rings import (
     FiniteRing,
     _additive_generators,
     _algebra,
+    _frozen_table,
     RingError,
     make_poly_quotient,
     make_product,
@@ -341,6 +342,37 @@ def test_tables_are_read_only_int32():
     ring = FiniteRing(size=2, add=mine, mul=[[0, 0], [0, 1]])
     mine[0, 0] = 1
     assert ring.add[0, 0] == 0 and not ring.add.flags.writeable
+
+
+def test_frozen_table_keeps_read_only_int32_and_copies_writable():
+    table = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    copied = _frozen_table("add", table, 2)
+    assert copied is not table and table.flags.writeable
+    assert not copied.flags.writeable and np.array_equal(copied, table)
+    table.flags.writeable = False
+    assert _frozen_table("add", table, 2) is table
+
+
+def test_constructors_hand_over_their_tables(monkeypatch):
+    from annigraph import rings
+
+    copied = []
+
+    def spy(name, table, n):
+        out = _frozen_table(name, table, n)
+        if out is not table:
+            copied.append(name)
+        return out
+
+    z12 = make_zn(12)
+    ideal = principal_ideal(z12, 4)
+    monkeypatch.setattr(rings, "_frozen_table", spy)
+    make_zn(6)
+    make_product(make_zn(2), make_zn(3))
+    make_f2xy_x2y2()
+    make_poly_quotient(3, (0, 0, 1))
+    quotient_ring(z12, ideal)
+    assert copied == []
 
 
 @pytest.mark.parametrize("add, match", [

@@ -212,6 +212,23 @@ def test_suite_solves_each_genus_at_most_once(monkeypatch):
     assert calls == []
 
 
+def test_suite_tests_each_planarity_at_most_once(monkeypatch):
+    from annigraph import verify
+
+    calls = []
+    real = verify.is_planar
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(verify, "is_planar", counting)
+    report = run_suite(suite="all")
+    assert report.ok
+    assert 0 < len(calls) <= 23
+    assert len({id(g) for g in calls}) == len(calls)
+
+
 def test_text_report_leaves_ring_fingerprints_unhashed(capsys, monkeypatch):
     from annigraph import specs
     from annigraph.cli import main
