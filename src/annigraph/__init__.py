@@ -1,7 +1,7 @@
 """Finite commutative rings, ideal lattices, annihilating-ideal graphs, and
 exact graph genus at desk scale."""
 
-from .classify import RingClassification, classify, unique_minimal_ideal, vdim
+from .classify import RingClassification, classify, unique_minimal_ideal
 from .genus import (
     GenusResult,
     euler_lower_bound,
@@ -15,7 +15,6 @@ from .genus import (
 from .graphs import (
     SimpleGraph,
     build_ag,
-    build_zero_divisor_graph,
     complete_bipartite,
     complete_graph,
     find_complete_bipartite_subgraph,
@@ -27,13 +26,7 @@ from .ideals import (
     IdealLattice,
     all_ideals,
     annihilating_ideals,
-    annihilator,
-    ideal_intersection,
-    ideal_power,
-    ideal_product,
-    ideal_sum,
     name_ideal,
-    principal_ideal,
     sub_ideals,
 )
 from .rings import (
@@ -44,7 +37,6 @@ from .rings import (
     make_product,
     make_structure_constants,
     make_zn,
-    quotient_ring,
     validate_ring,
 )
 from .specs import RingSpec, SpecParseError, builtin_corpus, parse_ring_spec

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ideals import (
-    Ideal,
-    IdealLattice,
-    ideal_product,
-    name_ideal,
-    sub_ideals,
-)
+from .ideals import Ideal, IdealLattice, name_ideal, sub_ideals
 from .rings import FiniteRing, RingError, _prime_power
 
 
@@ -37,8 +31,10 @@ def _power_exponent(value: int, base: int):
 class RingClassification:
     """Classification record; local-only fields are None for non-local rings.
 
-    For fields the convention is t = 0, socle = R, Gorenstein and SPIR true,
-    with ``is_field`` set so downstream checks can special-case them.
+    ``powers`` is [m, m^2, ..., m^t, (0)] for a local ring (``powers[k]`` is
+    m^(k+1)), computed once here for the checks that read them.  For fields
+    the convention is t = 0, powers = ((0),), socle = R, Gorenstein and SPIR
+    true, with ``is_field`` set so downstream checks can special-case them.
     """
 
     ring: FiniteRing = field(repr=False)
@@ -48,6 +44,7 @@ class RingClassification:
     is_field: bool = False
     m: Ideal | None = None
     t: int = 0
+    powers: tuple[Ideal, ...] = field(default=(), repr=False)
     residue_size: int | None = None
     vdim_profile: tuple[int, ...] = ()
     socle: Ideal | None = None
@@ -65,25 +62,6 @@ class RingClassification:
         if not self.is_local:
             raise RingError("ring is not local")
         return self.m
-
-
-def vdim(numerator: Ideal, denominator: Ideal, m: Ideal, q: int) -> int:
-    """Dimension of numerator/denominator as a vector space over the residue field.
-
-    Requires denominator <= numerator and m*numerator <= denominator, so the
-    quotient really is an R/m-vector space of size q^d.
-    """
-    if not denominator.issubset(numerator):
-        raise RingError("denominator is not contained in numerator")
-    if not ideal_product(m, numerator).issubset(denominator):
-        raise RingError("m * numerator is not contained in denominator; quotient "
-                        "is not a residue-field vector space")
-    ratio, rem = divmod(numerator.cardinality, denominator.cardinality)
-    d = _power_exponent(ratio, q) if rem == 0 else None
-    if d is None:
-        raise RingError(f"quotient size {numerator.cardinality}/{denominator.cardinality} "
-                        f"is not a power of q={q}")
-    return d
 
 
 def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
@@ -115,6 +93,7 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
             is_field=True,
             m=m,
             t=0,
+            powers=(m,),
             residue_size=r.size,
             vdim_profile=(),
             socle=lattice.unit,
@@ -130,7 +109,7 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
 
     powers = [m]
     while powers[-1].mask != zero_mask:
-        powers.append(ideal_product(powers[-1], m))
+        powers.append(lattice.product(powers[-1], m))
         if len(powers) > r.size:
             raise RingError("maximal ideal is not nilpotent; input ring is invalid")
     t = len(powers) - 1  # powers[k] = m^(k+1); powers[t] = m^(t+1) = (0)
@@ -158,6 +137,7 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
         is_local=True,
         m=m,
         t=t,
+        powers=tuple(powers),
         residue_size=q,
         vdim_profile=tuple(profile),
         socle=socle,
@@ -167,7 +147,7 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
     )
 
 
-def unique_minimal_ideal(lattice: IdealLattice, classification=None) -> Ideal | None:
+def unique_minimal_ideal(lattice: IdealLattice) -> Ideal | None:
     """The unique minimal nonzero proper ideal, or None if there are zero or
     several.  Fields have no nonzero proper ideals, so they return None."""
     zero_mask = 1 << lattice.ring.zero
@@ -179,7 +159,7 @@ def unique_minimal_ideal(lattice: IdealLattice, classification=None) -> Ideal | 
     return minimal[0] if len(minimal) == 1 else None
 
 
-def classification_to_json(c: RingClassification, lattice: IdealLattice | None = None) -> dict:
+def classification_to_json(c: RingClassification, lattice: IdealLattice) -> dict:
     def iname(i):
         return None if i is None else name_ideal(i, lattice)
 

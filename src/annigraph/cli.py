@@ -22,7 +22,7 @@ from .genus import (
     genus_exact,
     rotation_to_json,
 )
-from .graphs import SimpleGraph, build_ag, build_zero_divisor_graph, graph_to_json, to_dot
+from .graphs import SimpleGraph, build_ag, graph_to_json, to_dot
 from .ideals import all_ideals, lattice_to_json, name_ideal
 from .rings import FiniteRing, RingError, ring_to_json, validate_ring
 from .specs import (
@@ -66,18 +66,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("graph", help="emit the annihilating-ideal or "
-                                     "zero-divisor graph")
+    p = sub.add_parser("graph", help="emit the annihilating-ideal graph")
     p.add_argument("spec")
-    p.add_argument("--kind", choices=("ag", "zdg"), default="ag")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("genus", help="exact genus of a graph, or of a ring's "
                                      "annihilating-ideal graph")
     p.add_argument("spec")
-    p.add_argument("--kind", choices=("ag", "zdg"), default="ag",
-                   help="graph to build when the spec is a ring")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     add_budget_flags(p)
@@ -190,19 +186,17 @@ def _run_ideals(args) -> int:
     return EXIT_OK
 
 
-def _build_graph(obj, kind: str) -> SimpleGraph:
+def _build_graph(obj) -> SimpleGraph:
     if isinstance(obj, SimpleGraph):
         return obj
-    if kind == "ag":
-        return build_ag(obj, all_ideals(obj))
-    return build_zero_divisor_graph(obj)
+    return build_ag(obj, all_ideals(obj))
 
 
 def _run_graph(args) -> int:
     ring = _require_ring(_resolve(args.spec), args.spec)
-    g = _build_graph(ring, args.kind)
+    g = _build_graph(ring)
     if args.format == "dot":
-        _emit(to_dot(g, name="AG" if args.kind == "ag" else "ZDG"), args.out)
+        _emit(to_dot(g), args.out)
     else:
         _emit(json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n",
               args.out)
@@ -211,7 +205,7 @@ def _run_graph(args) -> int:
 
 def _run_genus(args) -> int:
     obj = _resolve(args.spec)
-    g = _build_graph(obj, args.kind)
+    g = _build_graph(obj)
     res = genus_exact(g, **_budgets(args))
     _emit(_genus_text(res) if args.format == "text" else _genus_json(res),
           args.out)

@@ -23,8 +23,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .graphs import SimpleGraph
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -47,8 +45,7 @@ class GenusResult:
 
     status is "exact" (lower == upper, search completed), "budget_exhausted"
     (bounds as far as the budget allowed; upper is None when not even a
-    first embedding was finished), or "bounded" for bound-only results
-    produced without a completed search.  ``witness`` is a rotation system
+    first embedding was finished).  ``witness`` is a rotation system
     achieving ``upper`` whenever one is known.
     """
 
@@ -130,7 +127,10 @@ def euler_lower_bound(g: SimpleGraph) -> int:
 
 def _lr_rotation(verts, edges) -> dict[int, list[int]] | None:
     """Rotation lists of a planar embedding by the LR test (networkx), or
-    None if the graph on ``verts`` and ``edges`` is non-planar."""
+    None if the graph on ``verts`` and ``edges`` is non-planar.  networkx is
+    imported here, so commands that never test planarity do not load it."""
+    import networkx as nx
+
     G = nx.Graph()
     G.add_nodes_from(verts)
     G.add_edges_from(edges)

@@ -1,11 +1,9 @@
-"""Simple graphs: annihilating-ideal and zero-divisor graphs, reference
-families, complete-bipartite subgraph search, and DOT/JSON output."""
+"""Simple graphs: the annihilating-ideal graph, reference families,
+complete-bipartite subgraph search, and DOT/JSON output."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .ideals import IdealLattice, annihilating_ideals, name_ideal
 from .rings import FiniteRing
@@ -98,15 +96,6 @@ def build_ag(r: FiniteRing, lattice: IdealLattice) -> SimpleGraph:
     edges = [(a, b) for a, ann in enumerate(anns)
              for b in range(a + 1, len(verts)) if masks[b] & ~ann == 0]
     return simple_graph(labels, edges)
-
-
-def build_zero_divisor_graph(r: FiniteRing) -> SimpleGraph:
-    """Vertices are the nonzero zero-divisors; x, y adjacent when xy = 0."""
-    kills = r.mul == r.zero
-    kills[r.zero, :] = kills[:, r.zero] = False
-    zd = np.flatnonzero(kills.any(axis=1))
-    edges = np.argwhere(np.triu(kills[np.ix_(zd, zd)], 1)).tolist()
-    return simple_graph([r.labels[x] for x in zd], edges)
 
 
 @dataclass(frozen=True)
@@ -207,7 +196,3 @@ def to_dot(g: SimpleGraph, name: str = "AG") -> str:
 
 def graph_to_json(g: SimpleGraph) -> dict:
     return {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}
-
-
-def graph_from_json(data: dict) -> SimpleGraph:
-    return simple_graph(data["vertices"], [tuple(e) for e in data["edges"]])

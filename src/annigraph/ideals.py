@@ -19,10 +19,14 @@ P: I + P = {z : label(z) in label(P)}.  One gather of the addition table's
 rows at I's members labels every element, and one more gather gives the
 sums for all seeds at once, instead of one |I| x |P| gather per pair.
 
-Adjacency in the annihilating-ideal graph needs no products: IJ = (0)
-exactly when J lies in Ann(I), one AND of two masks.  Sums and products of
-single ideals still come from one gather over the ring's tables
-(``_image``).
+Ideal arithmetic happens on the lattice.  It is sorted by cardinality, and
+the ideals containing a set are closed under intersection, so the first one
+whose mask contains the set is the smallest ideal containing it.  A product
+IJ is the smallest ideal containing g*h over the least generators g of the
+principal ideals inside I and h of those inside J: I and J are the sums of
+those principal ideals, so IJ is the sum of the R(g*h).  Adjacency in the
+annihilating-ideal graph needs no products at all: IJ = (0) exactly when J
+lies in Ann(I), one AND of two masks.
 """
 
 from __future__ import annotations
@@ -111,6 +115,26 @@ class IdealLattice:
     def unit(self) -> Ideal:
         return self.ideals[-1]
 
+    def smallest_containing(self, mask: int) -> Ideal:
+        """The smallest ideal containing the elements of ``mask``: the first
+        in cardinality order whose mask contains them."""
+        return next(i for i in self.ideals if mask & ~i.mask == 0)
+
+    def _generators(self, ideal: Ideal) -> list[int]:
+        """The least generators of the principal ideals inside ``ideal``,
+        in generator order; their principal ideals sum to ``ideal``."""
+        return [g for m, g in self.principals.items() if m & ~ideal.mask == 0]
+
+    def product(self, i: Ideal, j: Ideal) -> Ideal:
+        """IJ, the smallest ideal containing g*h over the generators g of I
+        and h of J."""
+        r = self.ring
+        if i.ring != r or j.ring != r:
+            raise RingError("ideal and lattice belong to different rings")
+        flags = np.zeros(r.size, dtype=bool)
+        flags[r.mul[np.ix_(self._generators(i), self._generators(j))]] = True
+        return self.smallest_containing(_pack(flags))
+
     @cached_property
     def annihilators(self) -> tuple[int, ...]:
         """The mask of Ann(I) for each ideal I, in lattice order.
@@ -123,20 +147,14 @@ class IdealLattice:
         gens = np.array(list(self.principals.values()), dtype=np.intp)
         kills = [k for rows in _row_blocks(len(gens), r.size)
                  for k in _packed_rows(r.mul[gens[rows]] == r.zero)]
-        pairs = list(zip(self.principals, kills))
+        kill = dict(zip(self.principals.values(), kills))
         out = []
         for i in self.ideals:
             ann = (1 << r.size) - 1
-            for m, k in pairs:
-                if m & ~i.mask == 0:
-                    ann &= k
+            for g in self._generators(i):
+                ann &= kill[g]
             out.append(ann)
         return tuple(out)
-
-
-def _require_same_ring(i: Ideal, j: Ideal):
-    if i.ring != j.ring:
-        raise RingError("ideals belong to different rings")
 
 
 def _indices(mask: int, n: int) -> np.ndarray:
@@ -162,27 +180,6 @@ def _row_blocks(n: int, width: int):
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
-def _image(table: np.ndarray, m1: int, m2: int) -> int:
-    """Mask of {table[a, b] : a in m1, b in m2}.
-
-    With the addition table this is the sumset m1 + m2; with the
-    multiplication table, the set of pairwise products.
-    """
-    n = len(table)
-    flags = np.zeros(n, dtype=bool)
-    flags[table[np.ix_(_indices(m1, n), _indices(m2, n))]] = True
-    return _pack(flags)
-
-
-def principal_ideal(r: FiniteRing, x: int) -> Ideal:
-    """Rx, the set of ring multiples of x (an ideal since r is commutative unital)."""
-    if not (0 <= x < r.size):
-        raise RingError(f"element index {x} out of range")
-    flags = np.zeros(r.size, dtype=bool)
-    flags[r.mul[x]] = True
-    return Ideal(r, _pack(flags))
-
-
 def _least_generators(r: FiniteRing) -> dict[int, int]:
     """Each distinct principal ideal's mask -> its least generator, in
     generator order.  The mask of Rx is the value set of row x of ``mul``."""
@@ -204,50 +201,6 @@ def _coset_labels(r: FiniteRing, members: np.ndarray) -> np.ndarray:
     for rows in _row_blocks(len(members), r.size):
         np.minimum(labels, r.add[members[rows]].min(axis=0), out=labels)
     return labels
-
-
-def _close_under_add(r: FiniteRing, mask: int) -> int:
-    while True:
-        new = mask | _image(r.add, mask, mask)
-        if new == mask:
-            return mask
-        mask = new
-
-
-def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
-    """I + J = {a + b}; already an ideal, no closure pass needed."""
-    _require_same_ring(i, j)
-    return Ideal(i.ring, _image(i.ring.add, i.mask, j.mask))
-
-
-def ideal_intersection(i: Ideal, j: Ideal) -> Ideal:
-    _require_same_ring(i, j)
-    return Ideal(i.ring, i.mask & j.mask)
-
-
-def ideal_product(i: Ideal, j: Ideal) -> Ideal:
-    """The ideal generated by pairwise products: close {a*b} under addition."""
-    _require_same_ring(i, j)
-    return Ideal(i.ring, _close_under_add(i.ring, _image(i.ring.mul, i.mask, j.mask)))
-
-
-def ideal_power(i: Ideal, k: int) -> Ideal:
-    if k < 1:
-        raise RingError("ideal powers need exponent >= 1")
-    out = i
-    for _ in range(k - 1):
-        nxt = ideal_product(out, i)
-        if nxt.mask == out.mask:
-            return nxt
-        out = nxt
-    return out
-
-
-def annihilator(i: Ideal) -> Ideal:
-    """Ann(I) = {a : a*x = 0 for every x in I}; always an ideal."""
-    r = i.ring
-    members = _indices(i.mask, r.size)
-    return Ideal(r, _pack((r.mul[:, members] == r.zero).all(axis=1)))
 
 
 def _check_cap(known: set, r: FiniteRing, cap: int):
@@ -301,11 +254,10 @@ def annihilating_ideals(lattice: IdealLattice) -> list[Ideal]:
             if zero_mask not in (i.mask, ann)]
 
 
-def name_ideal(ideal: Ideal, lattice: IdealLattice | None = None) -> str:
+def name_ideal(ideal: Ideal, lattice: IdealLattice) -> str:
     """Generator-based display name: "(x)", "(x,y)", or "I#k" past 2 generators."""
     r = ideal.ring
-    principals = lattice.principals if lattice is not None else _least_generators(r)
-    x = principals.get(ideal.mask)
+    x = lattice.principals.get(ideal.mask)
     if x is not None:
         return f"({r.labels[x]})"
     # The first pair a < b of nonzero members, in member order, with
@@ -314,19 +266,13 @@ def name_ideal(ideal: Ideal, lattice: IdealLattice | None = None) -> str:
     # has the same sum and comes earlier.  Ra + Rb lies in I, and
     # |Ra + Rb| = |Ra| |Rb| / |Ra & Rb| for subgroups, so counting decides it.
     size = ideal.cardinality
-    inside = [(g, m, m.bit_count()) for m, g in principals.items()
+    inside = [(g, m, m.bit_count()) for m, g in lattice.principals.items()
               if m & ~ideal.mask == 0 and g != r.zero]
     for k, (a, ma, ca) in enumerate(inside):
         for b, mb, cb in inside[k + 1:]:
             if ca * cb == size * (ma & mb).bit_count():
                 return f"({r.labels[a]},{r.labels[b]})"
-    if lattice is not None:
-        return f"I#{lattice.index_of(ideal)}"
-    return f"I#{ideal.mask:x}"
-
-
-def ideal_to_json(i: Ideal) -> dict:
-    return {"ring": i.ring.fingerprint, "members": list(i.members)}
+    return f"I#{lattice.index_of(ideal)}"
 
 
 def lattice_to_json(lattice: IdealLattice) -> dict:

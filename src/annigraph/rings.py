@@ -140,9 +140,6 @@ class FiniteRing:
         digest.update(b"]")
         return digest.hexdigest()
 
-    def label(self, element: int) -> str:
-        return self.labels[element]
-
 
 def _prime_power(q: int):
     """Return (p, e) with q = p^e, or None if q is not a prime power."""
@@ -428,38 +425,6 @@ def validate_ring(r: FiniteRing, *, triple_cap: int = TRIPLE_CHECK_CAP,
     return ValidationReport(True)
 
 
-def quotient_ring(r: FiniteRing, ideal) -> FiniteRing:
-    """The quotient of ``r`` by an ideal, with least-index coset representatives."""
-    if ideal.ring != r:
-        raise RingError("ideal belongs to a different ring")
-    members = np.array(ideal.members, dtype=np.intp)
-    inside = np.zeros(r.size, dtype=bool)
-    inside[members] = True
-    if not inside[r.zero]:
-        raise RingError("subset is not an ideal: missing zero")
-    bad = np.argwhere(~inside[r.add[np.ix_(members, members)]])
-    if len(bad):
-        a, b = members[bad[0]]
-        raise RingError(f"subset is not an ideal: not closed under + at ({a},{b})")
-    bad = np.argwhere(~inside[r.mul[:, members]])
-    if len(bad):
-        a, x = bad[0][0], members[bad[0][1]]
-        raise RingError(
-            f"subset is not an ideal: not closed under ring multiples at ({a},{x})"
-        )
-
-    # An additive subgroup's cosets partition the ring; each is named by its
-    # least element.
-    rep = r.add[:, members].min(axis=1)
-    reps = np.unique(rep)
-    coset = np.searchsorted(reps, rep).astype(np.int32)
-    grid = np.ix_(reps, reps)
-    labels = tuple(f"[{r.labels[a]}]" for a in reps)
-    return FiniteRing(size=len(reps), add=_owned(coset[r.add[grid]]),
-                      mul=_owned(coset[r.mul[grid]]), one=int(coset[r.one]),
-                      labels=labels)
-
-
 def ring_to_json(r: FiniteRing) -> dict:
     """The table exchange form: size, zero, one, row-major add/mul, labels."""
     return {
@@ -481,7 +446,7 @@ def ring_from_json(data: dict) -> FiniteRing:
         add = data["add"]
         mul = data["mul"]
         labels = tuple(data.get("labels") or ())
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RingError(f"malformed ring table file: {exc}") from exc
     ring = FiniteRing(size=size, add=add, mul=mul, zero=zero, one=one, labels=labels)
     if zero == 0:

@@ -25,15 +25,7 @@ from .genus import (
     is_planar,
 )
 from .graphs import SimpleGraph, build_ag
-from .ideals import (
-    Ideal,
-    IdealLattice,
-    all_ideals,
-    ideal_power,
-    ideal_product,
-    name_ideal,
-    sub_ideals,
-)
+from .ideals import Ideal, IdealLattice, all_ideals, name_ideal, sub_ideals
 from .rings import FiniteRing, validate_ring
 
 
@@ -73,15 +65,6 @@ def _skipped(check, ring, source, reason):
     return CheckResult(check, ring, source, "skipped", reason=reason)
 
 
-def _power_chain(cls: RingClassification, lattice: IdealLattice) -> list[Ideal]:
-    """[R, m, m^2, ..., m^t, (0)] for a local non-field ring."""
-    chain = [lattice.unit, cls.m]
-    for k in range(2, cls.t + 1):
-        chain.append(ideal_power(cls.m, k))
-    chain.append(lattice.zero)
-    return chain
-
-
 def _nonzero_principals(r: FiniteRing, lattice: IdealLattice):
     """Distinct nonzero principal ideals, smallest generator first."""
     zero_mask = 1 << r.zero
@@ -99,7 +82,7 @@ def check_subideal_count_lemma(r: FiniteRing, lattice: IdealLattice,
         return [_skipped(name, ring, r, "non-local ring")]
     if cls.is_field:
         return [_skipped(name, ring, r, "field: no proper nonzero principal ideals")]
-    chain = _power_chain(cls, lattice)  # chain[k] = m^k, chain[0] = R
+    chain = [lattice.unit, *cls.powers]  # chain[k] = m^k, chain[0] = R
     principals = _nonzero_principals(r, lattice)
     out = []
     for n in range(1, cls.t + 2):
@@ -136,14 +119,14 @@ def check_socle_containment_lemma(r: FiniteRing, lattice: IdealLattice,
     if not cls.is_gorenstein:
         return [_skipped(name, ring, r,
                          f"not Gorenstein (socle dimension {cls.socle_dim})")]
-    m2 = ideal_power(cls.m, 2)
+    m2 = cls.powers[1]
     zero_mask = 1 << r.zero
     out = []
     for ideal in _nonzero_principals(r, lattice):
         if len(sub_ideals(ideal, lattice)) != 3:
             continue
         label = name_ideal(ideal, lattice)
-        prod = ideal_product(m2, ideal)
+        prod = lattice.product(m2, ideal)
         detail = f"I={label}: m^2*I = {name_ideal(prod, lattice)}"
         if prod.mask == zero_mask:
             out.append(_passed(name, ring, r, detail))
@@ -167,7 +150,7 @@ def check_spir_chain_lemma(r: FiniteRing, lattice: IdealLattice,
         return _skipped(name, ring, r, "non-local ring")
     if cls.is_field:
         return _passed(name, ring, r, "vacuous: field has no chain levels")
-    chain = _power_chain(cls, lattice)
+    chain = [lattice.unit, *cls.powers]  # chain[k] = m^k
     zero_mask = 1 << r.zero
     checked = []
     for n in range(1, cls.t + 1):
@@ -204,8 +187,8 @@ def check_unique_minimal_and_socle(r: FiniteRing, lattice: IdealLattice,
     if not cls.is_gorenstein:
         return _skipped(name, ring, r,
                         f"not Gorenstein (socle dimension {cls.socle_dim})")
-    mt = ideal_power(cls.m, cls.t)
-    minimal = unique_minimal_ideal(lattice, cls)
+    mt = cls.powers[cls.t - 1]
+    minimal = unique_minimal_ideal(lattice)
     ok_socle = cls.socle.mask == mt.mask
     ok_min = minimal is not None and minimal.mask == mt.mask
     detail = (f"socle={name_ideal(cls.socle, lattice)} m^t={name_ideal(mt, lattice)} "

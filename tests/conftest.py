@@ -2,8 +2,10 @@
 
 The oracles deliberately avoid the library's own algorithms: ring axioms
 by exhaustive triple loops, ideal enumeration by exhaustive subset closure,
-annihilating-ideal graphs by elementwise pairwise products, genus by full
-rotation-system enumeration, and Z_n ideal structure by divisor arithmetic.
+principal ideals, annihilators, sums and products of ideals by elementwise
+arithmetic, annihilating-ideal graphs by elementwise pairwise products,
+genus by full rotation-system enumeration, and Z_n ideal structure by
+divisor arithmetic.
 ``genus_exact_whole`` is the one oracle built on the library's search: it
 runs it once over a whole graph, without reductions or components.
 """
@@ -136,6 +138,46 @@ def brute_force_ideals(ring: FiniteRing) -> set[frozenset]:
         if ok:
             found.add(frozenset(members))
     return found
+
+
+def _mask(elements) -> int:
+    return sum(1 << int(e) for e in set(elements))
+
+
+def _members(mask: int) -> list[int]:
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
+def brute_principal(ring: FiniteRing, x: int) -> int:
+    """Mask of Rx, the multiples r * x of x."""
+    return _mask(ring.mul[r][x] for r in range(ring.size))
+
+
+def brute_annihilator(ring: FiniteRing, mask: int) -> int:
+    """Mask of Ann(I) = {a : a * x = 0 for every x in I}."""
+    members = _members(mask)
+    return _mask(a for a in range(ring.size)
+                 if all(ring.mul[a][x] == ring.zero for x in members))
+
+
+def _close_under_add(ring: FiniteRing, elements: set) -> int:
+    """Mask of the additive closure of a finite set: add pairs until stable."""
+    while True:
+        grown = elements | {int(ring.add[a][b]) for a in elements for b in elements}
+        if grown == elements:
+            return _mask(elements)
+        elements = grown
+
+
+def brute_sum(ring: FiniteRing, m1: int, m2: int) -> int:
+    """Mask of I + J = {a + b : a in I, b in J}."""
+    return _mask(ring.add[a][b] for a in _members(m1) for b in _members(m2))
+
+
+def brute_product(ring: FiniteRing, m1: int, m2: int) -> int:
+    """Mask of IJ: the elementwise products a * b, closed under +."""
+    return _close_under_add(ring, {int(ring.mul[a][b]) for a in _members(m1)
+                                   for b in _members(m2)})
 
 
 def brute_ag(ring: FiniteRing, ideal_sets) -> tuple[set[frozenset], set[frozenset]]:

@@ -1,10 +1,10 @@
 import pytest
 
-from annigraph.classify import classify, unique_minimal_ideal, vdim
-from annigraph.ideals import all_ideals, ideal_power, name_ideal, principal_ideal
-from annigraph.rings import RingError, make_poly_quotient, make_zn
+from annigraph.classify import classify, unique_minimal_ideal
+from annigraph.ideals import all_ideals, name_ideal
+from annigraph.rings import make_poly_quotient, make_zn
 
-from conftest import brute_force_ideals, make_f2xy_x2xyy2, make_f2xy_x2y2
+from conftest import brute_force_ideals, brute_product, make_f2xy_x2xyy2, make_f2xy_x2y2
 
 
 def classify_ring(ring):
@@ -67,32 +67,6 @@ def test_field_conventions():
     assert unique_minimal_ideal(lattice) is None
 
 
-def test_vdim_fixtures():
-    ring = make_f2xy_x2y2()
-    lattice, cls = classify_ring(ring)
-    m2 = ideal_power(cls.m, 2)
-    assert vdim(cls.m, m2, cls.m, 2) == 2
-    assert vdim(cls.m, cls.m, cls.m, 2) == 0
-
-    z9 = make_zn(9)
-    lat9, cls9 = classify_ring(z9)
-    assert vdim(cls9.m, ideal_power(cls9.m, 2), cls9.m, 3) == 1
-
-
-def test_vdim_rejects_bad_inputs():
-    z16 = make_zn(16)
-    lattice, cls = classify_ring(z16)
-    unit = lattice.unit
-    four = principal_ideal(z16, 4)
-    with pytest.raises(RingError, match="not contained"):
-        vdim(four, unit, cls.m, 2)  # denominator larger than numerator
-    with pytest.raises(RingError, match="vector space"):
-        vdim(unit, four, cls.m, 2)  # m*R is not inside (4)
-    two = principal_ideal(z16, 2)
-    with pytest.raises(RingError, match="power"):
-        vdim(two, four, cls.m, 4)  # ratio 2 is not a power of 4
-
-
 def test_unique_minimal_fixtures():
     z12 = make_zn(12)
     assert unique_minimal_ideal(all_ideals(z12)) is None
@@ -109,14 +83,29 @@ def test_corpus_invariants(corpus):
             continue
         q = cls.residue_size
         assert cls.m.cardinality == q ** sum(cls.vdim_profile)
-        mt = ideal_power(cls.m, cls.t)
+        mt = cls.powers[cls.t - 1]
         if cls.is_gorenstein:
             assert cls.socle.mask == mt.mask
-            minimal = unique_minimal_ideal(lattice, cls)
+            minimal = unique_minimal_ideal(lattice)
             assert minimal is not None and minimal.mask == mt.mask
         if cls.is_spir:
             assert cls.ideal_count == cls.t + 2
             assert set(cls.vdim_profile) == {1}
+
+
+def test_powers_are_repeated_products(corpus):
+    """cls.powers is m, m^2, ..., (0), each power the oracle's product of the
+    previous one with m; non-local rings have none."""
+    for name, ring in corpus.items():
+        cls = classify(ring, all_ideals(ring))
+        if not cls.is_local:
+            assert cls.powers == (), name
+            continue
+        want = [cls.m.mask]
+        while want[-1] != 1 << ring.zero:
+            want.append(brute_product(ring, want[-1], cls.m.mask))
+        assert [p.mask for p in cls.powers] == want, name
+        assert len(cls.powers) == cls.t + 1, name
 
 
 @pytest.mark.parametrize("ring", [make_zn(7), make_zn(12), make_zn(16)])

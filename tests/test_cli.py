@@ -3,8 +3,10 @@ import os
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from annigraph.cli import main
+from annigraph.rings import ring_to_json
 from annigraph.specs import (
     CORPUS_SPEC_STRINGS,
     SpecParseError,
@@ -89,7 +91,7 @@ def test_ideals_subcommand(capsys):
 
 
 def test_graph_subcommand_dot_and_json(capsys):
-    code, out, _ = run(capsys, "graph", "zn:12", "--kind", "ag", "--format", "dot")
+    code, out, _ = run(capsys, "graph", "zn:12", "--format", "dot")
     assert code == 0
     assert out == (
         'graph AG {\n'
@@ -102,10 +104,10 @@ def test_graph_subcommand_dot_and_json(capsys):
         '  "(4)" -- "(3)";\n'
         '}\n'
     )
-    code, out, _ = run(capsys, "graph", "zn:6", "--kind", "zdg", "--format", "json")
+    code, out, _ = run(capsys, "graph", "zn:12", "--format", "json")
     payload = json.loads(out)
-    assert payload["vertices"] == ["2", "3", "4"]
-    assert payload["edges"] == [[0, 1], [1, 2]]
+    assert payload["vertices"] == ["(6)", "(4)", "(3)", "(2)"]
+    assert payload["edges"] == [[0, 1], [0, 3], [1, 2]]
 
 
 def test_genus_subcommand(capsys):
@@ -225,6 +227,7 @@ def one_line_error(err):
     {"size": 2, "zero": 0, "one": 1, "add": [[0, 1], [1]], "mul": [[0, 0], [0, 1]]},
     {"size": 2, "zero": 5, "one": 1, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]},
     [1, 2, 3],
+    {"size": float("inf"), "zero": 0, "one": 1, "add": [[0]], "mul": [[0]]},
 ])
 def test_malformed_table_file_exit_code(capsys, tmp_path, blob):
     path = tmp_path / "ring.json"
@@ -283,3 +286,126 @@ def test_malformed_env_budget_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "genus", "cat:k5")
     assert code == 2 and out == ""
     assert one_line_error(err) and "ANNIGRAPH_BUDGET_MS" in err
+
+
+# Spec fuzz.  Rings stay small: factors of at most 25 elements, at most two
+# of them, and free text too short to spell a product or a 3-digit number.
+# Free text never starts with "-", which argparse reads as an option.
+_SPEC_CHARS = "zngfpolyqcatbrd:(),0123456789-x_."
+_ATOMS = st.one_of(
+    st.integers(-2, 16).map(lambda n: f"zn:{n}"),
+    st.tuples(st.sampled_from(["gf", "polyq"]), st.sampled_from([2, 3, 4, 5]),
+              st.lists(st.integers(-1, 3), min_size=1, max_size=3))
+    .map(lambda t: f"{t[0]}:{t[1]}:{','.join(map(str, t[2]))}"),
+    st.sampled_from(["cat:f4", "cat:f2x_x3", "cat:f3x_x2", "cat:f2xy_x2y2",
+                     "cat:k5", "cat:km:2:3", "cat:nope", "table:", "sc:", "prod:()"]),
+)
+
+_SPECS = st.one_of(
+    _ATOMS,
+    st.tuples(_ATOMS, _ATOMS).map(lambda t: f"prod:({t[0]},{t[1]})"),
+    st.text(_SPEC_CHARS, max_size=14)
+    .filter(lambda t: not t.startswith("-") and not re.search(r"\d{3}", t)),
+)
+
+_JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2, 5),
+                       st.floats(allow_nan=False), st.text(max_size=3))
+
+
+def _tables(n):
+    row = st.lists(st.integers(-1, n), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+_SMALL_TABLES = [ring_to_json(parse_ring_spec(spec).build())
+                 for spec in ("zn:2", "zn:4", "zn:6", "cat:f4", "prod:(zn:2,zn:2)")]
+
+
+def _moved_zero(blob, k):
+    """The same ring with elements 0 and k swapped, so zero sits at k."""
+    n = blob["size"]
+    p = list(range(n))
+    p[0], p[k] = k, 0
+    out = {**blob, "zero": p[blob["zero"]], "one": p[blob["one"]],
+           "labels": [blob["labels"][p[i]] for i in range(n)]}
+    for name in ("add", "mul"):
+        table = blob[name]
+        out[name] = [[p[table[p[i]][p[j]]] for j in range(n)] for i in range(n)]
+    return out
+
+
+@st.composite
+def _table_blobs(draw):
+    """A small ring's table with zero moved and a few entries changed, or
+    random tables; then a key or two dropped or replaced."""
+    if draw(st.booleans()):
+        blob = draw(st.sampled_from(_SMALL_TABLES))
+        n = blob["size"]
+        cell = st.integers(0, n - 1)
+        blob = _moved_zero(blob, draw(cell))
+        for _ in range(draw(st.integers(0, 2))):
+            row = blob[draw(st.sampled_from(["add", "mul"]))][draw(cell)]
+            row[draw(cell)] = draw(st.integers(-1, n))
+    else:
+        n = draw(st.integers(1, 5))
+        blob = {"size": n, "zero": draw(st.integers(-1, n)),
+                "one": draw(st.integers(-1, n)),
+                "add": draw(_tables(n)), "mul": draw(_tables(n)),
+                "labels": draw(st.lists(st.text(max_size=2), max_size=n))}
+    for key in draw(st.lists(st.sampled_from(sorted(blob)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del blob[key]
+        else:
+            blob[key] = draw(_JSON_LEAF)
+    return blob
+
+
+@st.composite
+def _sc_blobs(draw):
+    """F2[x,y]/(x,y)^2 with a coefficient or two changed, or random
+    structure constants; then a key or two replaced."""
+    if draw(st.booleans()):
+        blob = json.loads(json.dumps(F2XY_SC))
+        rank = 3
+        idx = st.integers(0, rank - 1)
+        for _ in range(draw(st.integers(0, 2))):
+            blob["mul"][draw(idx)][draw(idx)][draw(idx)] = draw(st.integers(-1, 3))
+    else:
+        rank = draw(st.integers(1, 3))
+        vec = st.lists(st.integers(-1, 3), min_size=rank, max_size=rank)
+        blob = {"p": draw(st.sampled_from([2, 3, 4])), "rank": rank,
+                "basis": [f"e{i}" for i in range(rank)],
+                "mul": draw(st.lists(st.lists(vec, min_size=rank, max_size=rank),
+                                     min_size=rank, max_size=rank))}
+    for key in draw(st.lists(st.sampled_from(sorted(blob)), max_size=2, unique=True)):
+        blob[key] = draw(_JSON_LEAF)
+    return blob
+
+
+def _exits_cleanly(capsys, spec):
+    code, _, err = run(capsys, "ideals", spec)
+    assert code in (0, 2, 3), (spec, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert one_line_error(err), err
+
+
+# ``run`` empties capsys on every call, and each file example overwrites the
+# same path, so sharing the function-scoped fixtures across examples is safe.
+_SHARED_FIXTURES = [HealthCheck.function_scoped_fixture]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=_SHARED_FIXTURES)
+@given(_SPECS)
+def test_fuzz_spec_strings_exit_cleanly(capsys, spec):
+    _exits_cleanly(capsys, spec)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=_SHARED_FIXTURES)
+@given(st.one_of(_table_blobs().map(lambda b: ("table", b)),
+                 _sc_blobs().map(lambda b: ("sc", b))))
+def test_fuzz_ring_files_exit_cleanly(capsys, tmp_path, kind_blob):
+    kind, blob = kind_blob
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(blob))
+    _exits_cleanly(capsys, f"{kind}:{path}")

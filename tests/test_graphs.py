@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from annigraph.graphs import (
     build_ag,
-    build_zero_divisor_graph,
     complete_bipartite,
     complete_graph,
     find_complete_bipartite_subgraph,
-    graph_from_json,
     graph_to_json,
     simple_graph,
     to_dot,
@@ -23,6 +21,7 @@ from annigraph.specs import parse_ring_spec
 from conftest import (
     brute_ag,
     brute_force_ideals,
+    brute_product,
     make_f2xy_x2y2,
     make_f2xyz_m2,
     product_ideal_sets,
@@ -136,21 +135,12 @@ def test_products_match_the_oracles(factors):
     assert ring.size == _order(factors)
     if ring.size <= 16:
         assert brute_force_ideals(ring) == ideal_sets
-    assert {frozenset(i.members) for i in all_ideals(ring)} == ideal_sets
+    lattice = all_ideals(ring)
+    assert {frozenset(i.members) for i in lattice} == ideal_sets
     ag_matches_pairwise_oracle(ring, ideal_sets)
-
-
-def test_zero_divisor_graph_fixtures():
-    g6 = build_zero_divisor_graph(make_zn(6))
-    assert g6.vertices == ("2", "3", "4")
-    assert edge_labels(g6) == {frozenset({"2", "3"}), frozenset({"3", "4"})}
-
-    g4 = build_zero_divisor_graph(make_zn(4))
-    assert g4.vertices == ("2",)
-    assert g4.edges == ()
-
-    gf = build_zero_divisor_graph(make_poly_quotient(3, (1, 0, 1)))
-    assert gf.n_vertices == 0
+    for k, i in enumerate(lattice):
+        for j in lattice.ideals[k:]:
+            assert lattice.product(i, j).mask == brute_product(ring, i.mask, j.mask)
 
 
 def test_reference_graphs():
@@ -216,7 +206,7 @@ def test_graph_json_round_trip():
     g = complete_bipartite(2, 3)
     blob = graph_to_json(g)
     assert blob["edges"] == sorted(blob["edges"])
-    assert graph_from_json(blob) == g
+    assert simple_graph(blob["vertices"], blob["edges"]) == g
 
 
 def test_relabeling_preserves_structure():

@@ -3,18 +3,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annigraph.classify import classify
 from annigraph.ideals import (
+    Ideal,
     all_ideals,
     annihilating_ideals,
-    annihilator,
-    ideal_intersection,
-    ideal_power,
-    ideal_product,
-    ideal_sum,
-    ideal_to_json,
     lattice_to_json,
     name_ideal,
-    principal_ideal,
     sub_ideals,
 )
 from annigraph.rings import (
@@ -26,7 +21,11 @@ from annigraph.rings import (
 )
 
 from conftest import (
+    brute_annihilator,
     brute_force_ideals,
+    brute_principal,
+    brute_product,
+    brute_sum,
     divisors,
     make_f2xy_x2y2,
     make_f2xyz_m2,
@@ -38,11 +37,17 @@ def members(ideal):
     return set(ideal.members)
 
 
+def mask(elements):
+    return sum(1 << e for e in set(elements))
+
+
 def test_principal_fixtures():
-    z12 = make_zn(12)
-    assert members(principal_ideal(z12, 4)) == {0, 4, 8}
-    assert members(principal_ideal(z12, 0)) == {0}
-    assert members(principal_ideal(z12, 5)) == set(range(12))  # 5 is a unit
+    lattice = all_ideals(make_zn(12))
+    assert lattice.principals[mask({0, 4, 8})] == 4
+    assert lattice.principals[mask({0})] == 0
+    assert lattice.principals[mask(range(12))] == 1  # 5 is a unit: (5) = (1)
+    assert len(lattice.principals) == 6
+    assert members(lattice.smallest_containing(mask({8}))) == {0, 4, 8}
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 16, 18, 24, 27, 36])
@@ -82,59 +87,69 @@ def test_lattice_cap():
         all_ideals(make_zn(12), cap=3)
 
 
+def _principal(lattice, x):
+    return lattice.smallest_containing(1 << x)
+
+
 def test_sum_and_intersection_against_gcd_lcm():
-    z12 = make_zn(12)
+    lattice = all_ideals(make_zn(12))
+    masks = {i.mask for i in lattice}
     for a in divisors(12):
         for b in divisors(12):
-            ia, ib = principal_ideal(z12, a % 12), principal_ideal(z12, b % 12)
-            assert members(ideal_sum(ia, ib)) == set(range(0, 12, math.gcd(a, b)))
+            ia, ib = _principal(lattice, a % 12), _principal(lattice, b % 12)
+            total = lattice.smallest_containing(ia.mask | ib.mask)
+            assert members(total) == set(range(0, 12, math.gcd(a, b)))
             expected = {x for x in range(12) if x % a == 0 and x % b == 0}
-            assert members(ideal_intersection(ia, ib)) == expected
+            assert ia.mask & ib.mask == mask(expected) and mask(expected) in masks
 
 
 def test_sum_intersection_fixtures():
-    z12 = make_zn(12)
-    i4, i6 = principal_ideal(z12, 4), principal_ideal(z12, 6)
-    assert members(ideal_sum(i4, i6)) == members(principal_ideal(z12, 2))
-    assert members(ideal_intersection(i4, i6)) == {0}
-    zero = principal_ideal(z12, 0)
-    lattice = all_ideals(z12)
+    lattice = all_ideals(make_zn(12))
+    i4, i6 = _principal(lattice, 4), _principal(lattice, 6)
+    assert lattice.smallest_containing(i4.mask | i6.mask) == _principal(lattice, 2)
+    assert i4.mask & i6.mask == lattice.zero.mask
     for i in lattice:
-        assert ideal_sum(i, zero).mask == i.mask
+        assert lattice.smallest_containing(i.mask | lattice.zero.mask) == i
 
 
 def test_product_fixtures():
-    z12 = make_zn(12)
-    assert ideal_product(principal_ideal(z12, 3), principal_ideal(z12, 4)).is_zero
-    assert members(ideal_product(principal_ideal(z12, 2), principal_ideal(z12, 3))) \
+    lattice = all_ideals(make_zn(12))
+    assert lattice.product(_principal(lattice, 3), _principal(lattice, 4)).is_zero
+    assert members(lattice.product(_principal(lattice, 2), _principal(lattice, 3))) \
         == {0, 6}
-    unit = principal_ideal(z12, 1)
-    for i in all_ideals(z12):
-        assert ideal_product(i, unit).mask == i.mask
+    for i in lattice:
+        assert lattice.product(i, lattice.unit) == i
+        assert lattice.product(lattice.zero, i) == lattice.zero
 
 
 def test_power_fixtures():
     z8 = make_zn(8)
-    two = principal_ideal(z8, 2)
-    assert members(ideal_power(two, 2)) == {0, 4}
-    assert ideal_power(two, 3).is_zero
-    assert ideal_power(two, 1).mask == two.mask
-    with pytest.raises(RingError):
-        ideal_power(two, 0)
+    lattice = all_ideals(z8)
+    two = _principal(lattice, 2)
+    square = lattice.product(two, two)
+    assert members(square) == {0, 4}
+    assert lattice.product(square, two).is_zero
+    cls = classify(z8, lattice)
+    assert [members(p) for p in cls.powers] == [{0, 2, 4, 6}, {0, 4}, {0}]
+    assert "powers" not in repr(cls)
 
 
 def test_annihilator_fixtures():
-    z12 = make_zn(12)
-    assert members(annihilator(principal_ideal(z12, 4))) == {0, 3, 6, 9}
-    assert annihilator(principal_ideal(z12, 0)).is_unit
-    assert annihilator(principal_ideal(z12, 1)).is_zero
+    lattice = all_ideals(make_zn(12))
+
+    def ann(x):
+        return lattice.annihilators[lattice.index_of(_principal(lattice, x))]
+
+    assert ann(4) == mask({0, 3, 6, 9})
+    assert ann(0) == lattice.unit.mask
+    assert ann(1) == lattice.zero.mask
 
 
 def test_sub_ideals_fixtures():
     z16 = make_zn(16)
     lattice = all_ideals(z16)
-    assert len(sub_ideals(principal_ideal(z16, 2), lattice)) == 4
-    assert len(sub_ideals(principal_ideal(z16, 4), lattice)) == 3
+    assert len(sub_ideals(_principal(lattice, 2), lattice)) == 4
+    assert len(sub_ideals(_principal(lattice, 4), lattice)) == 3
     assert len(sub_ideals(lattice.zero, lattice)) == 1
 
 
@@ -157,9 +172,10 @@ def test_lattice_keeps_principals_and_annihilators():
         lattice = all_ideals(ring)
         want = {}
         for x in range(ring.size):
-            want.setdefault(principal_ideal(ring, x).mask, x)
+            want.setdefault(brute_principal(ring, x), x)
         assert list(lattice.principals.items()) == list(want.items())
-        assert lattice.annihilators == tuple(annihilator(i).mask for i in lattice)
+        assert lattice.annihilators == tuple(brute_annihilator(ring, i.mask)
+                                             for i in lattice)
 
 
 def _named_by_search(ideal, lattice):
@@ -167,12 +183,12 @@ def _named_by_search(ideal, lattice):
     of nonzero members with Ra + Rb = I, by exhaustive search."""
     r = ideal.ring
     for x in ideal.members:
-        if principal_ideal(r, x).mask == ideal.mask:
+        if brute_principal(r, x) == ideal.mask:
             return f"({r.labels[x]})"
     nonzero = [x for x in ideal.members if x != r.zero]
     for k, a in enumerate(nonzero):
         for b in nonzero[k + 1:]:
-            if ideal_sum(principal_ideal(r, a), principal_ideal(r, b)).mask == ideal.mask:
+            if brute_sum(r, brute_principal(r, a), brute_principal(r, b)) == ideal.mask:
                 return f"({r.labels[a]},{r.labels[b]})"
     return f"I#{lattice.index_of(ideal)}"
 
@@ -213,18 +229,14 @@ def test_socle_first_maximal_ideal_has_two_generators():
     assert name_ideal(lattice.ideals[-2], lattice) == "(x,y)"
 
 
-def test_name_ideal_without_lattice():
-    ring = make_f2xy_x2y2()
-    lattice = all_ideals(ring)
-    assert [name_ideal(i) for i in lattice] == [name_ideal(i, lattice) for i in lattice]
-    assert name_ideal(lattice.unit) == "(1)"
-
-
 def test_mixed_ring_operations_rejected():
-    i = principal_ideal(make_zn(12), 2)
-    j = principal_ideal(make_zn(8), 2)
+    lattice = all_ideals(make_zn(12))
+    i = _principal(lattice, 2)
+    j = _principal(all_ideals(make_zn(8)), 2)
     with pytest.raises(RingError):
-        ideal_sum(i, j)
+        lattice.product(i, j)
+    with pytest.raises(RingError):
+        lattice.product(j, i)
 
 
 def test_serialization_carries_fingerprint():
@@ -233,8 +245,6 @@ def test_serialization_carries_fingerprint():
     blob = lattice_to_json(lattice)
     assert blob["ring"] == z12.fingerprint
     assert blob["ideals"][0] == [0]
-    single = ideal_to_json(lattice.ideals[1])
-    assert single["ring"] == z12.fingerprint
 
 
 _RINGS = [make_zn(12), make_zn(16), make_zn(24), make_f2xy_x2y2(),
@@ -246,23 +256,30 @@ _LATTICES = [all_ideals(r) for r in _RINGS]
 @given(st.data())
 def test_ideal_algebra_invariants(data):
     k = data.draw(st.integers(0, len(_RINGS) - 1))
-    lattice = _LATTICES[k]
+    ring, lattice = _RINGS[k], _LATTICES[k]
     pick = st.integers(0, len(lattice) - 1)
     i = lattice.ideals[data.draw(pick)]
     j = lattice.ideals[data.draw(pick)]
     l = lattice.ideals[data.draw(pick)]
 
+    def ann(x):
+        return Ideal(ring, lattice.annihilators[lattice.index_of(x)])
+
     # I <= Ann(Ann(I)); Ann is antitone.
-    assert i.issubset(annihilator(annihilator(i)))
+    assert i.issubset(ann(ann(i)))
     if i.issubset(j):
-        assert annihilator(j).issubset(annihilator(i))
+        assert ann(j).issubset(ann(i))
         assert len(sub_ideals(i, lattice)) <= len(sub_ideals(j, lattice))
 
-    prod = ideal_product(i, j)
-    assert prod.issubset(ideal_intersection(i, j))
-    assert prod.mask == ideal_product(j, i).mask
-    assert ideal_product(prod, l).mask == ideal_product(i, ideal_product(j, l)).mask
+    prod = lattice.product(i, j)
+    assert prod.mask == brute_product(ring, i.mask, j.mask)
+    assert prod.issubset(Ideal(ring, i.mask & j.mask))
+    assert prod == lattice.product(j, i)
+    assert lattice.product(prod, l) == lattice.product(i, lattice.product(j, l))
 
     # Sums and products of lattice members stay in the lattice.
-    assert ideal_sum(i, j).mask in {x.mask for x in lattice}
-    assert prod.mask in {x.mask for x in lattice}
+    masks = {x.mask for x in lattice}
+    total = brute_sum(ring, i.mask, j.mask)
+    assert total in masks
+    assert lattice.smallest_containing(i.mask | j.mask).mask == total
+    assert prod.mask in masks

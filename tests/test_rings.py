@@ -14,12 +14,11 @@ from annigraph.rings import (
     make_product,
     make_structure_constants,
     make_zn,
-    quotient_ring,
     ring_from_json,
     ring_to_json,
     validate_ring,
 )
-from annigraph.ideals import all_ideals, principal_ideal
+from annigraph.ideals import all_ideals
 
 from conftest import brute_validate, make_f2xy_x2y2, violates
 
@@ -271,40 +270,6 @@ def test_constructors_are_deterministic():
     assert make_zn(12).fingerprint == make_zn(12).fingerprint
 
 
-def test_quotient_z12_by_4_is_z4():
-    z12 = make_zn(12)
-    q = quotient_ring(z12, principal_ideal(z12, 4))
-    z4 = make_zn(4)
-    assert q.size == 4
-    assert np.array_equal(q.add, z4.add) and np.array_equal(q.mul, z4.mul)
-    assert q.labels == ("[0]", "[1]", "[2]", "[3]")
-
-
-def test_quotient_by_zero_and_by_2():
-    z12 = make_zn(12)
-    q0 = quotient_ring(z12, principal_ideal(z12, 0))
-    assert np.array_equal(q0.add, z12.add) and np.array_equal(q0.mul, z12.mul)
-    q2 = quotient_ring(z12, principal_ideal(z12, 2))
-    assert q2.size == 2
-    assert validate_ring(q2).ok
-
-
-def test_quotient_size_identity():
-    z36 = make_zn(36)
-    for x in (2, 3, 4, 6, 9):
-        ideal = principal_ideal(z36, x)
-        q = quotient_ring(z36, ideal)
-        assert q.size * ideal.cardinality == 36
-
-
-def test_quotient_rejects_non_ideal():
-    z4 = make_zn(4)
-    fake = principal_ideal(z4, 2)
-    broken = type(fake)(ring=z4, mask=0b0011)  # {0, 1} is not closed
-    with pytest.raises(RingError):
-        quotient_ring(z4, broken)
-
-
 def test_ring_json_round_trip():
     r = make_f2xy_x2y2()
     again = ring_from_json(json.loads(json.dumps(ring_to_json(r))))
@@ -364,14 +329,11 @@ def test_constructors_hand_over_their_tables(monkeypatch):
             copied.append(name)
         return out
 
-    z12 = make_zn(12)
-    ideal = principal_ideal(z12, 4)
     monkeypatch.setattr(rings, "_frozen_table", spy)
     make_zn(6)
     make_product(make_zn(2), make_zn(3))
     make_f2xy_x2y2()
     make_poly_quotient(3, (0, 0, 1))
-    quotient_ring(z12, ideal)
     assert copied == []
 
 
