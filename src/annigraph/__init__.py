@@ -6,10 +6,7 @@ from .genus import (
     GenusResult,
     euler_lower_bound,
     genus_exact,
-    genus_formula_bipartite,
-    genus_formula_complete,
     is_planar,
-    planar_rotation,
     verify_embedding,
 )
 from .graphs import (
@@ -17,7 +14,6 @@ from .graphs import (
     build_ag,
     complete_bipartite,
     complete_graph,
-    find_complete_bipartite_subgraph,
     simple_graph,
     to_dot,
 )

@@ -57,12 +57,6 @@ class RingClassification:
         """The ring's fingerprint, hashed only when output asks for it."""
         return self.ring.fingerprint
 
-    @property
-    def maximal_ideal(self) -> Ideal:
-        if not self.is_local:
-            raise RingError("ring is not local")
-        return self.m
-
 
 def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
     """Full classification from a complete lattice."""

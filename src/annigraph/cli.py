@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from .classify import classification_to_json, classify
 from .genus import (
@@ -24,7 +23,7 @@ from .genus import (
 )
 from .graphs import SimpleGraph, build_ag, graph_to_json, to_dot
 from .ideals import all_ideals, lattice_to_json, name_ideal
-from .rings import FiniteRing, RingError, ring_to_json, validate_ring
+from .rings import FiniteRing, RingError, ring_to_json
 from .specs import (
     SpecParseError,
     builtin_corpus,
@@ -38,8 +37,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_BUDGET = 3
 
-BUDGET_ENV_VAR = "ANNIGRAPH_BUDGET_MS"
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -50,11 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget_flags(p):
-        p.add_argument("--budget-nodes", type=int, default=None,
+        p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
                        help=f"search node budget (default {DEFAULT_NODE_BUDGET})")
-        p.add_argument("--budget-ms", type=int, default=None,
-                       help=f"time budget in ms (default {DEFAULT_TIME_BUDGET_MS}; "
-                            f"falls back to ${BUDGET_ENV_VAR})")
+        p.add_argument("--budget-ms", type=int, default=DEFAULT_TIME_BUDGET_MS,
+                       help=f"time budget in ms (default {DEFAULT_TIME_BUDGET_MS})")
 
     p = sub.add_parser("info", help="print the classification of a ring")
     p.add_argument("spec")
@@ -84,8 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITE_SELECTORS, default="all")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default=None)
-    p.add_argument("--timestamp", action="store_true",
-                   help="prepend a timestamp line to text reports")
     add_budget_flags(p)
 
     p = sub.add_parser("corpus", help="materialize the built-in corpus as "
@@ -113,21 +107,8 @@ def _require_ring(obj, spec_text: str) -> FiniteRing:
     return obj
 
 
-class UsageError(ValueError):
-    """Invalid input from the environment."""
-
-
 def _budgets(args) -> dict:
-    time_ms = args.budget_ms
-    if time_ms is None:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        try:
-            time_ms = int(env) if env else DEFAULT_TIME_BUDGET_MS
-        except ValueError:
-            raise UsageError(f"{BUDGET_ENV_VAR} must be an integer number of "
-                             f"milliseconds, not {env!r}") from None
-    nodes = args.budget_nodes if args.budget_nodes is not None else DEFAULT_NODE_BUDGET
-    return {"node_budget": nodes, "time_budget_ms": time_ms}
+    return {"node_budget": args.budget_nodes, "time_budget_ms": args.budget_ms}
 
 
 def _genus_text(res: GenusResult) -> str:
@@ -149,11 +130,6 @@ def _genus_json(res: GenusResult) -> str:
 
 def _run_info(args) -> int:
     ring = _require_ring(_resolve(args.spec), args.spec)
-    report = validate_ring(ring)
-    if not report.ok:
-        print(f"error: {args.spec} is not a ring: {report.axiom} fails at "
-              f"{report.witness}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     lattice = all_ideals(ring)
     cls = classify(ring, lattice)
     if args.format == "json":
@@ -221,8 +197,6 @@ def _run_verify(args) -> int:
         text = report.to_csv()
     else:
         text = report.to_text()
-        if args.timestamp:
-            text = f"# {time.strftime('%Y-%m-%dT%H:%M:%S')}\n{text}"
     _emit(text, args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
@@ -251,7 +225,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SpecParseError, RingError, UsageError, OSError, json.JSONDecodeError) as exc:
+    except (SpecParseError, RingError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -1,8 +1,7 @@
 """Orientable genus of finite simple graphs.
 
-Closed forms for the complete and complete bipartite families, Euler-formula
-lower bounds, LR planarity, and an exact branch-and-bound solver over
-rotation systems.
+Euler-formula lower bounds, LR planarity, face tracing of a rotation
+system, and an exact branch-and-bound solver over rotation systems.
 
 The exact solver builds a cellular embedding one edge at a time.  A partial
 embedding is a rotation system of the inserted subgraph together with its
@@ -58,20 +57,6 @@ class GenusResult:
     @property
     def exact(self) -> bool:
         return self.status == "exact"
-
-
-def genus_formula_complete(n: int) -> int:
-    """ceil((n-3)(n-4)/12), the genus of the complete graph on n >= 3 vertices."""
-    if n < 3:
-        raise ValueError("complete-graph genus formula needs n >= 3")
-    return ((n - 3) * (n - 4) + 11) // 12
-
-
-def genus_formula_bipartite(m: int, n: int) -> int:
-    """ceil((m-2)(n-2)/4), the genus of K_{m,n} for m, n >= 2; symmetric."""
-    if m < 2 or n < 2:
-        raise ValueError("bipartite genus formula needs m, n >= 2")
-    return ((m - 2) * (n - 2) + 3) // 4
 
 
 def _adjacency_dict(g: SimpleGraph) -> dict[int, set[int]]:
@@ -144,14 +129,6 @@ def _lr_rotation(verts, edges) -> dict[int, list[int]] | None:
 def is_planar(g: SimpleGraph) -> bool:
     """LR planarity test (networkx); must agree with the exact solver at genus 0."""
     return _lr_rotation(range(g.n_vertices), g.edges) is not None
-
-
-def planar_rotation(g: SimpleGraph) -> RotationSystem | None:
-    """A rotation system realizing a planar embedding, or None if non-planar."""
-    rot = _lr_rotation(range(g.n_vertices), g.edges)
-    if rot is None:
-        return None
-    return tuple(tuple(rot[v]) for v in range(g.n_vertices))
 
 
 def verify_embedding(g: SimpleGraph, rotation) -> int:

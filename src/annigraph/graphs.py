@@ -1,5 +1,5 @@
-"""Simple graphs: the annihilating-ideal graph, reference families,
-complete-bipartite subgraph search, and DOT/JSON output."""
+"""Simple graphs: the annihilating-ideal graph, the complete and complete
+bipartite reference families, and DOT/JSON output."""
 
 from __future__ import annotations
 
@@ -50,12 +50,6 @@ class SimpleGraph:
             object.__setattr__(self, "_adjacency", cached)
         return cached
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
 
 def simple_graph(vertices, edges) -> SimpleGraph:
     """Normalize arbitrary edge pairs into canonical SimpleGraph form."""
@@ -98,94 +92,16 @@ def build_ag(r: FiniteRing, lattice: IdealLattice) -> SimpleGraph:
     return simple_graph(labels, edges)
 
 
-@dataclass(frozen=True)
-class KmnSearch:
-    """Outcome of the complete-bipartite subgraph search.
-
-    status is "found" (with the two vertex parts), "none" (search space
-    exhausted, no witness exists), or "unknown" (node budget ran out).
-    """
-
-    status: str
-    left: tuple[int, ...] | None = None
-    right: tuple[int, ...] | None = None
-
-
-def find_complete_bipartite_subgraph(g: SimpleGraph, m: int, n: int,
-                                     node_budget: int | None = None) -> KmnSearch:
-    """Backtracking search for disjoint vertex sets A (|A|=m), B (|B|=n) with
-    every A-B pair adjacent (ordinary subgraph containment, not induced)."""
-    if m < 1 or n < 1:
-        raise ValueError("part sizes must be at least 1")
-    swapped = m > n
-    if swapped:
-        m, n = n, m
-    nv = g.n_vertices
-    if nv < m + n:
-        return KmnSearch("none")
-    nbr = [0] * nv
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    nodes = 0
-
-    def rec(start: int, chosen: list[int], common: int):
-        nonlocal nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise _BudgetStop
-        if len(chosen) == m:
-            avail = common & ~mask_of_list(chosen)
-            if avail.bit_count() >= n:
-                right = []
-                while avail and len(right) < n:
-                    low = avail & -avail
-                    right.append(low.bit_length() - 1)
-                    avail ^= low
-                return tuple(chosen), tuple(right)
-            return None
-        for v in range(start, nv):
-            new_common = common & nbr[v]
-            # B needs n vertices out of the common neighborhood.
-            if new_common.bit_count() < n:
-                continue
-            chosen.append(v)
-            hit = rec(v + 1, chosen, new_common)
-            if hit:
-                return hit
-            chosen.pop()
-        return None
-
-    def mask_of_list(vs):
-        out = 0
-        for v in vs:
-            out |= 1 << v
-        return out
-
-    class _BudgetStop(Exception):
-        pass
-
-    try:
-        hit = rec(0, [], (1 << nv) - 1)
-    except _BudgetStop:
-        return KmnSearch("unknown")
-    if hit is None:
-        return KmnSearch("none")
-    left, right = hit
-    if swapped:
-        left, right = right, left
-    return KmnSearch("found", left, right)
-
-
 def _dot_id(label: str) -> str:
     """A DOT quoted identifier: backslashes and double quotes escaped."""
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(g: SimpleGraph, name: str = "AG") -> str:
-    """Deterministic DOT text: one vertex line per label, one sorted edge line per edge."""
+def to_dot(g: SimpleGraph) -> str:
+    """Deterministic DOT text of graph ``AG``: one vertex line per label, one
+    sorted edge line per edge."""
     ids = [_dot_id(label) for label in g.vertices]
-    lines = [f"graph {name} {{"]
+    lines = ["graph AG {"]
     for vid in ids:
         lines.append(f"  {vid};")
     for u, v in g.edges:

@@ -69,10 +69,6 @@ class Ideal:
         return self.mask.bit_count()
 
     @property
-    def is_zero(self) -> bool:
-        return self.mask == 1 << self.ring.zero
-
-    @property
     def is_unit(self) -> bool:
         return self.mask == (1 << self.ring.size) - 1
 
@@ -203,20 +199,20 @@ def _coset_labels(r: FiniteRing, members: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _check_cap(known: set, r: FiniteRing, cap: int):
-    if len(known) > cap:
+def _check_cap(known: set, r: FiniteRing):
+    if len(known) > LATTICE_CAP:
         raise RingError(
-            f"ideal lattice exceeds cap ({cap}); "
+            f"ideal lattice exceeds cap ({LATTICE_CAP}); "
             f"ring fingerprint {r.fingerprint[:12]}"
         )
 
 
-def all_ideals(r: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
+def all_ideals(r: FiniteRing) -> IdealLattice:
     """Enumerate every ideal: principal seeds, then sums of found ideals and seeds."""
     n = r.size
     principals = _least_generators(r)
     known = set(principals)
-    _check_cap(known, r, cap)
+    _check_cap(known, r)
     # (0) + P = P and R + P = R, so neither is a seed nor ever queued.
     seeds = [m for m in principals if m not in (1 << r.zero, (1 << n) - 1)]
     queue = list(seeds)
@@ -235,7 +231,7 @@ def all_ideals(r: FiniteRing, cap: int = LATTICE_CAP) -> IdealLattice:
             if s not in known:
                 known.add(s)
                 queue.append(s)
-                _check_cap(known, r, cap)
+                _check_cap(known, r)
     masks = sorted(known, key=lambda m: (m.bit_count(), tuple(_bits(m))))
     return IdealLattice(r, tuple(Ideal(r, m) for m in masks), principals)
 

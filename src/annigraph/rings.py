@@ -20,7 +20,7 @@ import numpy as np
 # Hard cap on table-backed ring size; guards against materializing huge tables.
 MAX_RING_SIZE = 4096
 
-# Largest size for which the triple axiom checks run by default.
+# Largest size for which the triple axiom checks run.
 TRIPLE_CHECK_CAP = 512
 
 
@@ -82,15 +82,17 @@ class FiniteRing:
 
     ``add`` and ``mul`` are read-only int32 arrays of shape (size, size):
     ``add[a, b]`` is the index of a + b.  The constructor accepts any n x n
-    integer array-like and checks its shape and range once.  Rings built by
-    the constructors in this module always place the additive identity at
-    index 0.  Instances are immutable, safe to share, and compare by value.
+    integer array-like and checks its shape and range once.  Index 0 is the
+    additive identity: ``zero`` is a class constant, and ``ring_from_json``
+    moves a file's identity there.  Instances are immutable, safe to share,
+    and compare by value.
     """
+
+    zero = 0
 
     size: int
     add: np.ndarray
     mul: np.ndarray
-    zero: int = 0
     one: int = 1
     labels: tuple[str, ...] = ()
 
@@ -102,8 +104,8 @@ class FiniteRing:
             raise RingError(f"ring size {n} exceeds the cap of {MAX_RING_SIZE}")
         object.__setattr__(self, "add", _frozen_table("add", self.add, n))
         object.__setattr__(self, "mul", _frozen_table("mul", self.mul, n))
-        if not (0 <= self.zero < n) or not (0 <= self.one < n):
-            raise RingError("zero/one index out of range")
+        if not 0 <= self.one < n:
+            raise RingError("one index out of range")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(n)))
         else:
@@ -116,8 +118,8 @@ class FiniteRing:
             return True
         if not isinstance(other, FiniteRing):
             return NotImplemented
-        return ((self.size, self.zero, self.one, self.labels)
-                == (other.size, other.zero, other.one, other.labels)
+        return ((self.size, self.one, self.labels)
+                == (other.size, other.one, other.labels)
                 and np.array_equal(self.add, other.add)
                 and np.array_equal(self.mul, other.mul))
 
@@ -351,14 +353,13 @@ def _additive_generators(A: np.ndarray, zero: int) -> list[int]:
     return gens
 
 
-def validate_ring(r: FiniteRing, *, triple_cap: int = TRIPLE_CHECK_CAP,
-                  force_triples: bool = False) -> ValidationReport:
+def validate_ring(r: FiniteRing) -> ValidationReport:
     """Check the commutative-ring axioms over the tables.
 
     Pair axioms are always checked, exhaustively.  The three triple axioms
-    run when ``size <= triple_cap`` or when ``force_triples`` is set;
-    otherwise the report records that they were skipped.  Returns a pass, or
-    the first failing axiom with a witness that violates it.
+    run when ``size <= TRIPLE_CHECK_CAP``; otherwise the report records that
+    they were skipped.  Returns a pass, or the first failing axiom with a
+    witness that violates it.
 
     The triple axioms are checked only with a generating set S of (R, +),
     |S| <= log2 n, in O(|S| n^2): Light's associativity test (Clifford and
@@ -406,7 +407,7 @@ def validate_ring(r: FiniteRing, *, triple_cap: int = TRIPLE_CHECK_CAP,
     if w:
         return ValidationReport(False, "mul_commutative", w)
 
-    if n > triple_cap and not force_triples:
+    if n > TRIPLE_CHECK_CAP:
         return ValidationReport(True, triples_checked=False)
 
     gens = _additive_generators(A, z)
@@ -438,26 +439,26 @@ def ring_to_json(r: FiniteRing) -> dict:
 
 
 def ring_from_json(data: dict) -> FiniteRing:
-    """Load a ring from the table exchange form, normalizing zero to index 0."""
+    """Load a ring from the table exchange form, moving zero to index 0."""
     try:
-        size = int(data["size"])
-        zero = int(data["zero"])
-        one = int(data["one"])
-        add = data["add"]
-        mul = data["mul"]
-        labels = tuple(data.get("labels") or ())
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        size, zero, one = (_integer_field(data, key, "ring table")
+                           for key in ("size", "zero", "one"))
+        add, mul = (_frozen_table(key, data[key], size) for key in ("add", "mul"))
+        labels = list(data.get("labels") or ())
+    except (KeyError, TypeError) as exc:
         raise RingError(f"malformed ring table file: {exc}") from exc
-    ring = FiniteRing(size=size, add=add, mul=mul, zero=zero, one=one, labels=labels)
-    if zero == 0:
-        return ring
-    # Swap indices 0 and zero so that the additive identity sits at 0.
-    perm = np.arange(size, dtype=np.int32)
-    perm[[0, zero]] = zero, 0
-    grid = np.ix_(perm, perm)
-    return FiniteRing(size=size, add=_owned(perm[ring.add[grid]]),
-                      mul=_owned(perm[ring.mul[grid]]), one=int(perm[one]),
-                      labels=tuple(ring.labels[i] for i in perm))
+    if not (0 <= zero < size and 0 <= one < size):
+        raise RingError("zero/one index out of range")
+    if zero:
+        # Swap indices 0 and zero so that the additive identity sits at 0.
+        perm = np.arange(size, dtype=np.int32)
+        perm[[0, zero]] = zero, 0
+        grid = np.ix_(perm, perm)
+        add, mul = _owned(perm[add[grid]]), _owned(perm[mul[grid]])
+        one = int(perm[one])
+        if zero < len(labels):
+            labels[0], labels[zero] = labels[zero], labels[0]
+    return FiniteRing(size=size, add=add, mul=mul, one=one, labels=tuple(labels))
 
 
 def ring_from_sc_json(data: dict) -> FiniteRing:
@@ -467,20 +468,21 @@ def ring_from_sc_json(data: dict) -> FiniteRing:
     missing = [key for key in ("p", "rank", "mul") if key not in data]
     if missing:
         raise RingError(f"malformed structure-constant file: missing '{missing[0]}'")
-    p, rank = (_integer_field(data, key) for key in ("p", "rank"))
+    p, rank = (_integer_field(data, key, "structure-constant") for key in ("p", "rank"))
     basis = data.get("basis")
     if basis is not None and not isinstance(basis, list):
         raise RingError("malformed structure-constant file: basis is not a list")
     return make_structure_constants(p, rank, basis, data["mul"])
 
 
-def _integer_field(data: dict, key: str) -> int:
-    """``data[key]`` as an int; a fraction or a non-number is a RingError."""
+def _integer_field(data: dict, key: str, kind: str) -> int:
+    """``data[key]`` as an int; a fraction or a non-number is a RingError
+    naming the ``kind`` of file."""
     value = data[key]
     try:
         if isinstance(value, float) and not value.is_integer():
             raise ValueError
         return int(value)
     except (TypeError, ValueError):
-        raise RingError(f"malformed structure-constant file: {key} {value!r} "
+        raise RingError(f"malformed {kind} file: {key} {value!r} "
                         "is not an integer") from None

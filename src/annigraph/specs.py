@@ -60,7 +60,7 @@ class RingSpec:
         return _build(self)
 
 
-def _sc_table_quadratic(p: int):
+def _sc_table_quadratic():
     """Structure constants for Z_p[x,y]/(x^2, y^2) on the basis 1, x, y, xy."""
     e = lambda i: [1 if j == i else 0 for j in range(4)]
     zero = [0, 0, 0, 0]
@@ -90,9 +90,9 @@ _CATALOG_RINGS = {
     "f3x_x2": lambda: make_poly_quotient(3, (0, 0, 1)),
     "f2x_x3": lambda: make_poly_quotient(2, (0, 0, 0, 1)),
     "f2xy_x2y2": lambda: make_structure_constants(
-        2, 4, ("1", "x", "y", "xy"), _sc_table_quadratic(2)),
+        2, 4, ("1", "x", "y", "xy"), _sc_table_quadratic()),
     "f3xy_x2y2": lambda: make_structure_constants(
-        3, 4, ("1", "x", "y", "xy"), _sc_table_quadratic(3)),
+        3, 4, ("1", "x", "y", "xy"), _sc_table_quadratic()),
     "f2xy_x2xyy2": lambda: make_structure_constants(
         2, 3, ("1", "x", "y"), _sc_table_square_zero()),
 }

@@ -26,7 +26,7 @@ from .genus import (
 )
 from .graphs import SimpleGraph, build_ag
 from .ideals import Ideal, IdealLattice, all_ideals, name_ideal, sub_ideals
-from .rings import FiniteRing, validate_ring
+from .rings import TRIPLE_CHECK_CAP, FiniteRing, validate_ring
 
 
 @dataclass(frozen=True)
@@ -450,7 +450,9 @@ def run_suite(corpus=None, suite: str = "all", *,
                                     "witness": list(report.witness)},
                                    f"{report.axiom} fails at {report.witness}"))
             continue
-        results.append(_passed("ring_axioms", name, ring))
+        detail = ("" if report.triples_checked else
+                  f"triple axioms not checked above {TRIPLE_CHECK_CAP} elements")
+        results.append(_passed("ring_axioms", name, ring, detail))
         lattice = all_ideals(ring)
         cls = classify(ring, lattice)
         if "lemmas" in want:

@@ -4,8 +4,8 @@ The oracles deliberately avoid the library's own algorithms: ring axioms
 by exhaustive triple loops, ideal enumeration by exhaustive subset closure,
 principal ideals, annihilators, sums and products of ideals by elementwise
 arithmetic, annihilating-ideal graphs by elementwise pairwise products,
-genus by full rotation-system enumeration, and Z_n ideal structure by
-divisor arithmetic.
+genus by full rotation-system enumeration or by the closed forms for K_n
+and K_{m,n}, and Z_n ideal structure by divisor arithmetic.
 ``genus_exact_whole`` is the one oracle built on the library's search: it
 runs it once over a whole graph, without reductions or components.
 """
@@ -211,10 +211,24 @@ def zn_ideal_sets(n: int) -> set[frozenset]:
     return {frozenset(range(0, n, d)) for d in divisors(n)}
 
 
+def genus_formula_complete(n: int) -> int:
+    """ceil((n-3)(n-4)/12), the genus of the complete graph on n >= 3 vertices."""
+    if n < 3:
+        raise ValueError("complete-graph genus formula needs n >= 3")
+    return ((n - 3) * (n - 4) + 11) // 12
+
+
+def genus_formula_bipartite(m: int, n: int) -> int:
+    """ceil((m-2)(n-2)/4), the genus of K_{m,n} for m, n >= 2; symmetric."""
+    if m < 2 or n < 2:
+        raise ValueError("bipartite genus formula needs m, n >= 2")
+    return ((m - 2) * (n - 2) + 3) // 4
+
+
 def rotation_count(graph) -> int:
     count = 1
     for v in range(graph.n_vertices):
-        count *= math.factorial(max(graph.degree(v) - 1, 1))
+        count *= math.factorial(max(len(graph.adjacency[v]) - 1, 1))
     return count
 
 

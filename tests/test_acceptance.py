@@ -13,8 +13,6 @@ from annigraph.classify import classify
 from annigraph.genus import (
     euler_lower_bound,
     genus_exact,
-    genus_formula_bipartite,
-    genus_formula_complete,
     is_planar,
     verify_embedding,
 )
@@ -32,7 +30,13 @@ from annigraph.verify import (
     run_suite,
 )
 
-from conftest import brute_ag, brute_force_ideals, zn_ideal_sets
+from conftest import (
+    brute_ag,
+    brute_force_ideals,
+    genus_formula_bipartite,
+    genus_formula_complete,
+    zn_ideal_sets,
+)
 
 
 @contextmanager

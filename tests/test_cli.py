@@ -1,12 +1,14 @@
+import hashlib
 import json
 import os
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from annigraph.cli import main
-from annigraph.rings import ring_to_json
+from annigraph.rings import make_zn, ring_to_json, validate_ring
 from annigraph.specs import (
     CORPUS_SPEC_STRINGS,
     SpecParseError,
@@ -140,12 +142,6 @@ def test_genus_deep_graph_exits_with_bounds(capsys):
     assert "Traceback" not in err
 
 
-def test_genus_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("ANNIGRAPH_BUDGET_MS", "60000")
-    code, out, _ = run(capsys, "genus", "cat:k4")
-    assert code == 0 and out == "exact 0\n"
-
-
 def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "zn:8", "zn:12", "--suite", "lemmas")
     assert code == 0
@@ -228,6 +224,8 @@ def one_line_error(err):
     {"size": 2, "zero": 5, "one": 1, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]},
     [1, 2, 3],
     {"size": float("inf"), "zero": 0, "one": 1, "add": [[0]], "mul": [[0]]},
+    {"size": 2.7, "zero": 0.2, "one": 1.9, "add": [[0, 1], [1, 0]],
+     "mul": [[0, 0], [0, 1]]},
 ])
 def test_malformed_table_file_exit_code(capsys, tmp_path, blob):
     path = tmp_path / "ring.json"
@@ -281,11 +279,49 @@ def test_whitespace_in_spec_exit_code(capsys):
     assert exc.value.position == 11
 
 
-def test_malformed_env_budget_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("ANNIGRAPH_BUDGET_MS", "abc")
-    code, out, err = run(capsys, "genus", "cat:k5")
-    assert code == 2 and out == ""
-    assert one_line_error(err) and "ANNIGRAPH_BUDGET_MS" in err
+def test_info_validates_a_table_file_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring_to_json(parse_ring_spec("cat:f2xy_x2y2").build())))
+    calls = []
+
+    def counting(ring):
+        calls.append(ring)
+        return validate_ring(ring)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("annigraph") and getattr(module, "validate_ring", None) is validate_ring:
+            monkeypatch.setattr(module, "validate_ring", counting)
+    code, _, _ = run(capsys, "info", f"table:{path}")
+    assert code == 0 and len(calls) == 1
+
+
+def test_verify_reports_unchecked_triple_axioms(capsys, tmp_path):
+    # Z_600 with 2*3 set to 0: distributivity fails, but the triple axioms
+    # are not checked above 512 elements, and the report says so.
+    blob = ring_to_json(make_zn(600))
+    blob["mul"][2][3] = blob["mul"][3][2] = 0
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(blob))
+    code, out, _ = run(capsys, "verify", f"table:{path}", "--suite", "lemmas")
+    assert code == 0
+    assert out.splitlines()[0] == (f"[   PASS] ring_axioms :: table:{path} :: "
+                                   "triple axioms not checked above 512 elements")
+
+
+# sha256 of ``verify --suite all`` on the built-in corpus, per format.  The
+# reports are deterministic; a change to any byte of them fails here.
+REPORT_DIGESTS = {
+    "text": "36a216074ae8f9405f76bb4a8413b1f86fcf110e729ea4b2b750714d3dbbd4d3",
+    "json": "bde1514f9ff781c3ea5912fce19bab2e999f13417662a66336dc67b9c534c343",
+    "csv": "28b4fd50447e24a782a6079d06cecefb0a796fa4a4580504c7cb0358abd3b24b",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(REPORT_DIGESTS))
+def test_verify_report_bytes_are_pinned(capsys, fmt):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[fmt]
 
 
 # Spec fuzz.  Rings stay small: factors of at most 25 elements, at most two

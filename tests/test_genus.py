@@ -6,17 +6,20 @@ from annigraph.genus import (
     EmbeddingError,
     euler_lower_bound,
     genus_exact,
-    genus_formula_bipartite,
-    genus_formula_complete,
     is_planar,
-    planar_rotation,
     verify_embedding,
 )
 from annigraph.graphs import build_ag, complete_bipartite, complete_graph, simple_graph
 from annigraph.ideals import all_ideals
 from annigraph.specs import parse_ring_spec
 
-from conftest import brute_force_genus, genus_exact_whole, rotation_count
+from conftest import (
+    brute_force_genus,
+    genus_exact_whole,
+    genus_formula_bipartite,
+    genus_formula_complete,
+    rotation_count,
+)
 
 
 def disjoint_union(g, h):
@@ -110,15 +113,6 @@ def test_planarity_fixtures():
     assert not is_planar(complete_bipartite(3, 3))
     path = simple_graph("abcd", [(0, 1), (1, 2), (2, 3)])
     assert is_planar(path)
-
-
-def test_planar_rotation_traces_to_genus_zero():
-    for g in (complete_graph(4), complete_bipartite(2, 5),
-              simple_graph("abcde", [(0, 1), (1, 2), (2, 0), (3, 4)])):
-        rot = planar_rotation(g)
-        assert rot is not None
-        assert verify_embedding(g, rot) == 0
-    assert planar_rotation(complete_graph(5)) is None
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -276,7 +270,8 @@ def test_planarity_rung_proves_genus_at_least_one():
 
 
 @pytest.mark.parametrize("g", [hypercube(3), ag_of("prod:(zn:4,zn:27)"),
-                               complete_graph(4)])
+                               complete_graph(4), complete_bipartite(2, 5),
+                               simple_graph("abcde", [(0, 1), (1, 2), (2, 0), (3, 4)])])
 def test_planar_graph_solves_without_search(g):
     res = genus_exact(g, node_budget=0)
     assert res.exact and res.upper == 0

@@ -9,7 +9,6 @@ from annigraph.graphs import (
     build_ag,
     complete_bipartite,
     complete_graph,
-    find_complete_bipartite_subgraph,
     graph_to_json,
     simple_graph,
     to_dot,
@@ -158,34 +157,6 @@ def test_simple_graph_validation():
     assert g.edges == ((0, 1), (0, 2))
 
 
-def test_bipartite_subgraph_search():
-    hit = find_complete_bipartite_subgraph(complete_bipartite(3, 3), 2, 2)
-    assert hit.status == "found"
-    g33 = complete_bipartite(3, 3)
-    for a in hit.left:
-        for b in hit.right:
-            assert g33.has_edge(a, b)
-
-    path4 = simple_graph("abcd", [(0, 1), (1, 2), (2, 3)])
-    assert find_complete_bipartite_subgraph(path4, 2, 2).status == "none"
-
-    z12 = make_zn(12)
-    ag = build_ag(z12, all_ideals(z12))
-    hit = find_complete_bipartite_subgraph(ag, 1, 2)
-    assert hit.status == "found"
-    assert len(hit.left) == 1 and len(hit.right) == 2
-    for b in hit.right:
-        assert ag.has_edge(hit.left[0], b)
-
-
-def test_bipartite_search_self_containment_and_budget():
-    for m, n in ((1, 1), (2, 3), (3, 3)):
-        g = complete_bipartite(m, n)
-        assert find_complete_bipartite_subgraph(g, m, n).status == "found"
-    assert find_complete_bipartite_subgraph(
-        complete_bipartite(3, 3), 3, 3, node_budget=1).status == "unknown"
-
-
 def test_dot_output_is_bit_exact():
     z12 = make_zn(12)
     g = build_ag(z12, all_ideals(z12))
@@ -219,14 +190,14 @@ def test_relabeling_preserves_structure():
         [(perm[u], perm[v]) for u, v in g.edges],
     )
     assert relabeled.n_edges == g.n_edges
-    assert sorted(relabeled.degree(v) for v in range(relabeled.n_vertices)) \
-        == sorted(g.degree(v) for v in range(g.n_vertices))
+    assert sorted(len(adj) for adj in relabeled.adjacency) \
+        == sorted(len(adj) for adj in g.adjacency)
 
 
 def test_dot_escapes_quotes_and_backslashes():
     g = simple_graph(['a"b', "c\\d"], [(0, 1)])
-    assert to_dot(g, name="G") == (
-        'graph G {\n'
+    assert to_dot(g) == (
+        'graph AG {\n'
         '  "a\\"b";\n'
         '  "c\\\\d";\n'
         '  "a\\"b" -- "c\\\\d";\n'

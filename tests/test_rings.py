@@ -171,12 +171,13 @@ def test_validate_detects_distributivity_break():
     assert report.witness == (2, 1, 1)
 
 
-def test_validate_triple_guard():
+def test_validate_triple_guard(monkeypatch):
     r = make_zn(16)
-    guarded = validate_ring(r, triple_cap=8)
-    assert guarded.ok and not guarded.triples_checked
-    full = validate_ring(r, triple_cap=8, force_triples=True)
+    full = validate_ring(r)
     assert full.ok and full.triples_checked
+    monkeypatch.setattr("annigraph.rings.TRIPLE_CHECK_CAP", 8)
+    guarded = validate_ring(r)
+    assert guarded.ok and not guarded.triples_checked
 
 
 def test_validate_reports_distributive_before_mul_associative():
@@ -191,16 +192,17 @@ def test_validate_reports_distributive_before_mul_associative():
     assert (report.ok, report.axiom, report.witness) == (False, "distributive", (2, 1, 1))
 
 
-def test_forced_triples_above_the_cap():
+def test_forced_triples_above_the_cap(monkeypatch):
     z600 = make_zn(600)
     mul = z600.mul.copy()
     mul[2, 3] = mul[3, 2] = 0
     bad = FiniteRing(size=600, add=z600.add, mul=mul)
     assert validate_ring(bad) == validate_ring(z600)
     assert not validate_ring(bad).triples_checked
-    report = validate_ring(bad, force_triples=True)
+    monkeypatch.setattr("annigraph.rings.TRIPLE_CHECK_CAP", 600)
+    report = validate_ring(bad)
     assert report.axiom == "distributive" and violates(bad, report.axiom, report.witness)
-    assert validate_ring(z600, force_triples=True).ok
+    assert validate_ring(z600).ok
 
 
 def test_additive_generators_generate(corpus):
