@@ -32,9 +32,11 @@ class RingClassification:
     """Classification record; local-only fields are None for non-local rings.
 
     ``powers`` is [m, m^2, ..., m^t, (0)] for a local ring (``powers[k]`` is
-    m^(k+1)), computed once here for the checks that read them.  For fields
-    the convention is t = 0, powers = ((0),), socle = R, Gorenstein and SPIR
-    true, with ``is_field`` set so downstream checks can special-case them.
+    m^(k+1)), computed once here for the checks that read them.  A field is
+    the local ring with m = (0); the local computation then gives t = 0,
+    powers = ((0),), q = |R|, socle = Ann((0)) = R of dimension 1, and
+    Gorenstein and SPIR true.  ``is_field`` is set so downstream checks can
+    special-case fields.
     """
 
     ring: FiniteRing = field(repr=False)
@@ -51,11 +53,6 @@ class RingClassification:
     socle_dim: int | None = None
     is_gorenstein: bool | None = None
     is_spir: bool | None = None
-
-    @property
-    def ring_fingerprint(self) -> str:
-        """The ring's fingerprint, hashed only when output asks for it."""
-        return self.ring.fingerprint
 
 
 def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
@@ -77,25 +74,6 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
         )
 
     m = maximal[0]
-    if m.mask == zero_mask:
-        # Field: every nonzero element is a unit.
-        return RingClassification(
-            ring=r,
-            ideal_count=count,
-            maximal_ideals=maximal,
-            is_local=True,
-            is_field=True,
-            m=m,
-            t=0,
-            powers=(m,),
-            residue_size=r.size,
-            vdim_profile=(),
-            socle=lattice.unit,
-            socle_dim=1,
-            is_gorenstein=True,
-            is_spir=True,
-        )
-
     q, rem = divmod(r.size, m.cardinality)
     if rem != 0 or _prime_power(q) is None:
         raise RingError(f"residue size {r.size}/{m.cardinality} is not a prime power; "
@@ -129,6 +107,7 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
         ideal_count=count,
         maximal_ideals=maximal,
         is_local=True,
+        is_field=m.mask == zero_mask,
         m=m,
         t=t,
         powers=tuple(powers),
@@ -161,7 +140,7 @@ def classification_to_json(c: RingClassification, lattice: IdealLattice) -> dict
         return None if i is None else list(i.members)
 
     return {
-        "ring": c.ring_fingerprint,
+        "ring": c.ring.fingerprint,
         "ideal_count": c.ideal_count,
         "maximal_ideals": [iname(i) for i in c.maximal_ideals],
         "is_local": c.is_local,
@@ -185,7 +164,7 @@ CSV_FIELDS = (
 
 def classification_csv_row(c: RingClassification) -> list:
     return [
-        c.ring_fingerprint[:12],
+        c.ring.fingerprint[:12],
         c.ideal_count,
         len(c.maximal_ideals),
         c.is_local,

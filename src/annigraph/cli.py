@@ -21,7 +21,7 @@ from .genus import (
     genus_exact,
     rotation_to_json,
 )
-from .graphs import SimpleGraph, build_ag, graph_to_json, to_dot
+from .graphs import build_ag, graph_to_json, to_dot
 from .ideals import all_ideals, lattice_to_json, name_ideal
 from .rings import FiniteRing, RingError, ring_to_json
 from .specs import (
@@ -97,11 +97,9 @@ def _emit(text: str, out_path):
             fh.write(text)
 
 
-def _resolve(spec_text: str):
-    return parse_ring_spec(spec_text).build()
-
-
-def _require_ring(obj, spec_text: str) -> FiniteRing:
+def _ring(spec_text: str) -> FiniteRing:
+    """The ring a spec names; a graph spec is invalid input."""
+    obj = parse_ring_spec(spec_text).build()
     if not isinstance(obj, FiniteRing):
         raise RingError(f"{spec_text} names a graph; this subcommand needs a ring")
     return obj
@@ -129,7 +127,7 @@ def _genus_json(res: GenusResult) -> str:
 
 
 def _run_info(args) -> int:
-    ring = _require_ring(_resolve(args.spec), args.spec)
+    ring = _ring(args.spec)
     lattice = all_ideals(ring)
     cls = classify(ring, lattice)
     if args.format == "json":
@@ -148,7 +146,7 @@ def _run_info(args) -> int:
 
 
 def _run_ideals(args) -> int:
-    ring = _require_ring(_resolve(args.spec), args.spec)
+    ring = _ring(args.spec)
     lattice = all_ideals(ring)
     if args.format == "json":
         _emit(json.dumps(lattice_to_json(lattice), indent=2, sort_keys=True) + "\n",
@@ -162,15 +160,9 @@ def _run_ideals(args) -> int:
     return EXIT_OK
 
 
-def _build_graph(obj) -> SimpleGraph:
-    if isinstance(obj, SimpleGraph):
-        return obj
-    return build_ag(obj, all_ideals(obj))
-
-
 def _run_graph(args) -> int:
-    ring = _require_ring(_resolve(args.spec), args.spec)
-    g = _build_graph(ring)
+    ring = _ring(args.spec)
+    g = build_ag(ring, all_ideals(ring))
     if args.format == "dot":
         _emit(to_dot(g), args.out)
     else:
@@ -180,8 +172,8 @@ def _run_graph(args) -> int:
 
 
 def _run_genus(args) -> int:
-    obj = _resolve(args.spec)
-    g = _build_graph(obj)
+    obj = parse_ring_spec(args.spec).build()
+    g = build_ag(obj, all_ideals(obj)) if isinstance(obj, FiniteRing) else obj
     res = genus_exact(g, **_budgets(args))
     _emit(_genus_text(res) if args.format == "text" else _genus_json(res),
           args.out)
@@ -189,7 +181,7 @@ def _run_genus(args) -> int:
 
 
 def _run_verify(args) -> int:
-    corpus = args.specs if args.specs else None
+    corpus = [(spec, _ring(spec)) for spec in args.specs] or None
     report = run_suite(corpus, args.suite, **_budgets(args))
     if args.format == "json":
         text = report.to_json()

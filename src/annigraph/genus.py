@@ -59,14 +59,6 @@ class GenusResult:
         return self.status == "exact"
 
 
-def _adjacency_dict(g: SimpleGraph) -> dict[int, set[int]]:
-    adj = {v: set() for v in range(g.n_vertices)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def _components(adj: dict[int, set[int]]) -> list[list[int]]:
     seen = set()
     comps = []
@@ -106,7 +98,7 @@ def _component_euler_bound(verts, adj) -> int:
 def euler_lower_bound(g: SimpleGraph) -> int:
     """Sum of per-component Euler-formula bounds: ceil((E-3V+6)/6), or
     ceil((E-2V+4)/4) on triangle-free components; 0 for small components."""
-    adj = _adjacency_dict(g)
+    adj = dict(enumerate(g.adjacency))
     return sum(_component_euler_bound(c, adj) for c in _components(adj))
 
 
@@ -141,7 +133,7 @@ def verify_embedding(g: SimpleGraph, rotation) -> int:
     n = g.n_vertices
     if len(rotation) != n:
         raise EmbeddingError(f"rotation covers {len(rotation)} vertices, graph has {n}")
-    adj = _adjacency_dict(g)
+    adj = dict(enumerate(g.adjacency))
     pos = []
     for v in range(n):
         cyc = tuple(rotation[v])
@@ -507,8 +499,6 @@ def _solve_component(verts, adj, budget):
     try:
         search = _EmbeddingSearch(verts, edges, budget)
         rot, upper = search.run(None)
-        if upper <= lower:
-            return upper, upper, rot, True
         target = lower
         while target < upper:
             found, g = search.run(target)
@@ -530,31 +520,22 @@ def genus_exact(g: SimpleGraph, *, node_budget: int | None = DEFAULT_NODE_BUDGET
     so far with status "budget_exhausted".
     """
     budget = _Budget(node_budget, time_budget_ms)
-    full_adj = _adjacency_dict(g)
-    reduced, records = _reduce(full_adj)
-    comps = _components(reduced)
+    reduced, records = _reduce(dict(enumerate(g.adjacency)))
 
-    lowers = []
-    uppers = []
-    rots = {}
+    lower = 0
+    upper = 0  # None once some component has no embedding yet
     all_exact = True
-    for k, comp in enumerate(comps):
+    combined: dict[int, list[int]] = {}
+    for comp in _components(reduced):
         lo, up, rot, exact = _solve_component(comp, reduced, budget)
-        lowers.append(lo)
-        uppers.append(up)
+        lower += lo
+        upper = None if upper is None or up is None else upper + up
         if rot is not None:
-            rots[k] = rot
-        if not exact:
-            all_exact = False
-
-    lower = sum(lowers)
-    upper = sum(uppers) if all(u is not None for u in uppers) else None
+            combined.update(rot)
+        all_exact = all_exact and exact
 
     witness = None
-    if upper is not None and len(rots) == len(comps):
-        combined: dict[int, list[int]] = {}
-        for rot in rots.values():
-            combined.update(rot)
+    if upper is not None:
         combined = _restore_rotation(combined, records)
         witness = tuple(tuple(combined.get(v, ())) for v in range(g.n_vertices))
         achieved = verify_embedding(g, witness)
@@ -565,8 +546,6 @@ def genus_exact(g: SimpleGraph, *, node_budget: int | None = DEFAULT_NODE_BUDGET
             )
 
     status = "exact" if all_exact else "budget_exhausted"
-    if status == "exact":
-        lower = upper
     return GenusResult(lower=lower, upper=upper, status=status,
                        witness=witness, nodes=budget.nodes)
 

@@ -4,6 +4,7 @@ bipartite reference families, and DOT/JSON output."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ideals import IdealLattice, annihilating_ideals, name_ideal
 from .rings import FiniteRing
@@ -38,17 +39,13 @@ class SimpleGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def adjacency(self) -> tuple[frozenset, ...]:
-        cached = self.__dict__.get("_adjacency")
-        if cached is None:
-            sets = [set() for _ in self.vertices]
-            for u, v in self.edges:
-                sets[u].add(v)
-                sets[v].add(u)
-            cached = tuple(frozenset(s) for s in sets)
-            object.__setattr__(self, "_adjacency", cached)
-        return cached
+        sets = [set() for _ in self.vertices]
+        for u, v in self.edges:
+            sets[u].add(v)
+            sets[v].add(u)
+        return tuple(frozenset(s) for s in sets)
 
 
 def simple_graph(vertices, edges) -> SimpleGraph:

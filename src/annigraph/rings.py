@@ -42,9 +42,6 @@ class ValidationReport:
     witness: tuple | None = None
     triples_checked: bool = True
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _frozen_table(name: str, table, n: int) -> np.ndarray:
     """``table`` as a read-only int32 n x n array of indices in 0..n-1.
@@ -476,13 +473,10 @@ def ring_from_sc_json(data: dict) -> FiniteRing:
 
 
 def _integer_field(data: dict, key: str, kind: str) -> int:
-    """``data[key]`` as an int; a fraction or a non-number is a RingError
+    """``data[key]`` as an int: a JSON integer, or a float with an integer
+    value.  Anything else, a string or a boolean included, is a RingError
     naming the ``kind`` of file."""
     value = data[key]
-    try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError
+    if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
-        raise RingError(f"malformed {kind} file: {key} {value!r} "
-                        "is not an integer") from None
+    raise RingError(f"malformed {kind} file: {key} {value!r} is not an integer")

@@ -108,12 +108,15 @@ def catalog_names() -> list[str]:
 def _catalog_build(name: str):
     if name in _CATALOG_RINGS:
         return _CATALOG_RINGS[name]()
-    m = _GRAPH_COMPLETE.match(name)
-    if m:
-        return complete_graph(int(m.group(1)))
-    m = _GRAPH_BIPARTITE.match(name)
-    if m:
-        return complete_bipartite(int(m.group(1)), int(m.group(2)))
+    try:
+        m = _GRAPH_COMPLETE.match(name)
+        if m:
+            return complete_graph(int(m.group(1)))
+        m = _GRAPH_BIPARTITE.match(name)
+        if m:
+            return complete_bipartite(int(m.group(1)), int(m.group(2)))
+    except ValueError as exc:
+        raise RingError(f"cat:{name}: {exc}") from None
     raise RingError(
         f"unknown catalog name {name!r}; available: {', '.join(catalog_names())}"
     )

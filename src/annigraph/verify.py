@@ -73,15 +73,15 @@ def _nonzero_principals(r: FiniteRing, lattice: IdealLattice):
 
 def check_subideal_count_lemma(r: FiniteRing, lattice: IdealLattice,
                                cls: RingClassification,
-                               ring_name: str | None = None) -> list[CheckResult]:
+                               ring_name: str) -> list[CheckResult]:
     """For every level n and nonzero principal I below m^(n-1) but not m^n,
     the sub-ideal counts must satisfy |sub(I)| = |sub(I & m^n)| + 1."""
     name = "subideal_count"
-    ring = ring_name or r.fingerprint[:12]
     if not cls.is_local:
-        return [_skipped(name, ring, r, "non-local ring")]
+        return [_skipped(name, ring_name, r, "non-local ring")]
     if cls.is_field:
-        return [_skipped(name, ring, r, "field: no proper nonzero principal ideals")]
+        return [_skipped(name, ring_name, r,
+                         "field: no proper nonzero principal ideals")]
     chain = [lattice.unit, *cls.powers]  # chain[k] = m^k, chain[0] = R
     principals = _nonzero_principals(r, lattice)
     out = []
@@ -97,9 +97,9 @@ def check_subideal_count_lemma(r: FiniteRing, lattice: IdealLattice,
             label = name_ideal(ideal, lattice)
             detail = f"n={n} I={label}: |sub(I)|={lhs}, |sub(I&m^n)|+1={rhs}"
             if lhs == rhs:
-                out.append(_passed(name, ring, r, detail))
+                out.append(_passed(name, ring_name, r, detail))
             else:
-                out.append(_failed(name, ring, r,
+                out.append(_failed(name, ring_name, r,
                                    {"n": n, "ideal": label, "lhs": lhs, "rhs": rhs},
                                    detail))
     return out
@@ -107,17 +107,16 @@ def check_subideal_count_lemma(r: FiniteRing, lattice: IdealLattice,
 
 def check_socle_containment_lemma(r: FiniteRing, lattice: IdealLattice,
                                   cls: RingClassification,
-                                  ring_name: str | None = None) -> list[CheckResult]:
+                                  ring_name: str) -> list[CheckResult]:
     """In a local Gorenstein ring, a principal ideal with exactly three
     sub-ideals is annihilated by m^2."""
     name = "socle_containment"
-    ring = ring_name or r.fingerprint[:12]
     if not cls.is_local:
-        return [_skipped(name, ring, r, "non-local ring")]
+        return [_skipped(name, ring_name, r, "non-local ring")]
     if cls.is_field:
-        return [_skipped(name, ring, r, "field: no applicable principal ideals")]
+        return [_skipped(name, ring_name, r, "field: no applicable principal ideals")]
     if not cls.is_gorenstein:
-        return [_skipped(name, ring, r,
+        return [_skipped(name, ring_name, r,
                          f"not Gorenstein (socle dimension {cls.socle_dim})")]
     m2 = cls.powers[1]
     zero_mask = 1 << r.zero
@@ -129,27 +128,26 @@ def check_socle_containment_lemma(r: FiniteRing, lattice: IdealLattice,
         prod = lattice.product(m2, ideal)
         detail = f"I={label}: m^2*I = {name_ideal(prod, lattice)}"
         if prod.mask == zero_mask:
-            out.append(_passed(name, ring, r, detail))
+            out.append(_passed(name, ring_name, r, detail))
         else:
-            out.append(_failed(name, ring, r, {"ideal": label,
+            out.append(_failed(name, ring_name, r, {"ideal": label,
                                                 "product": list(prod.members)}, detail))
     if not out:
-        out.append(_passed(name, ring, r,
+        out.append(_passed(name, ring_name, r,
                            "vacuous: no principal ideal with exactly 3 sub-ideals"))
     return out
 
 
 def check_spir_chain_lemma(r: FiniteRing, lattice: IdealLattice,
                            cls: RingClassification,
-                           ring_name: str | None = None) -> CheckResult:
+                           ring_name: str) -> CheckResult:
     """Where some m^n/m^(n+1) is one-dimensional, everything below m^n must be
     a power of m; at n = 1 the whole ring must be a special principal ideal ring."""
     name = "spir_chain"
-    ring = ring_name or r.fingerprint[:12]
     if not cls.is_local:
-        return _skipped(name, ring, r, "non-local ring")
+        return _skipped(name, ring_name, r, "non-local ring")
     if cls.is_field:
-        return _passed(name, ring, r, "vacuous: field has no chain levels")
+        return _passed(name, ring_name, r, "vacuous: field has no chain levels")
     chain = [lattice.unit, *cls.powers]  # chain[k] = m^k
     zero_mask = 1 << r.zero
     checked = []
@@ -159,33 +157,32 @@ def check_spir_chain_lemma(r: FiniteRing, lattice: IdealLattice,
         expected = {chain[i].mask for i in range(n, cls.t + 1)}
         actual = {i.mask for i in sub_ideals(chain[n], lattice) if i.mask != zero_mask}
         if actual != expected:
-            return _failed(name, ring, r, {
+            return _failed(name, ring_name, r, {
                 "n": n,
                 "expected": sorted(name_ideal(Ideal(r, m), lattice) for m in expected),
                 "actual": sorted(name_ideal(Ideal(r, m), lattice) for m in actual),
             }, f"n={n}: sub-ideals of m^{n} are not the chain of powers")
         if n == 1 and not cls.is_spir:
-            return _failed(name, ring, r, {"n": 1, "is_spir": False},
+            return _failed(name, ring_name, r, {"n": 1, "is_spir": False},
                            "v.dim m/m^2 = 1 but ring not flagged SPIR")
         checked.append(n)
     if checked:
-        return _passed(name, ring, r,
+        return _passed(name, ring_name, r,
                        "chain levels verified at n=" + ",".join(map(str, checked)))
-    return _passed(name, ring, r, "vacuous: no level with v.dim 1")
+    return _passed(name, ring_name, r, "vacuous: no level with v.dim 1")
 
 
 def check_unique_minimal_and_socle(r: FiniteRing, lattice: IdealLattice,
                                    cls: RingClassification,
-                                   ring_name: str | None = None) -> CheckResult:
+                                   ring_name: str) -> CheckResult:
     """Local Gorenstein non-fields: Ann(m) = m^t and m^t is the unique minimal ideal."""
     name = "unique_minimal_socle"
-    ring = ring_name or r.fingerprint[:12]
     if not cls.is_local:
-        return _skipped(name, ring, r, "non-local ring")
+        return _skipped(name, ring_name, r, "non-local ring")
     if cls.is_field:
-        return _skipped(name, ring, r, "field: zero ideal is maximal")
+        return _skipped(name, ring_name, r, "field: zero ideal is maximal")
     if not cls.is_gorenstein:
-        return _skipped(name, ring, r,
+        return _skipped(name, ring_name, r,
                         f"not Gorenstein (socle dimension {cls.socle_dim})")
     mt = cls.powers[cls.t - 1]
     minimal = unique_minimal_ideal(lattice)
@@ -194,8 +191,8 @@ def check_unique_minimal_and_socle(r: FiniteRing, lattice: IdealLattice,
     detail = (f"socle={name_ideal(cls.socle, lattice)} m^t={name_ideal(mt, lattice)} "
               f"unique_minimal={'none' if minimal is None else name_ideal(minimal, lattice)}")
     if ok_socle and ok_min:
-        return _passed(name, ring, r, detail)
-    return _failed(name, ring, r, {
+        return _passed(name, ring_name, r, detail)
+    return _failed(name, ring_name, r, {
         "socle": list(cls.socle.members),
         "m_power_t": list(mt.members),
         "unique_minimal": None if minimal is None else list(minimal.members),
@@ -270,7 +267,7 @@ UNREACHABLE_FACTS = (
 )
 
 
-def _shape_checks(ring_name, r, lattice, cls, ag, solve_genus,
+def _shape_checks(ring_name, r, cls, ag, find_shape, solve_genus,
                   check_planar) -> list[CheckResult]:
     out = []
 
@@ -297,7 +294,7 @@ def _shape_checks(ring_name, r, lattice, cls, ag, solve_genus,
                                 f"needs local Gorenstein, t = {t_wanted}, "
                                 f"v.dim profile {list(profile)}"))
             continue
-        matched = match_shape(ag, kind)
+        matched = find_shape(kind)
         if matched is None:
             out.append(_failed(name, ring_name, r,
                                {"edges": [list(e) for e in ag.edges]},
@@ -316,12 +313,7 @@ def _shape_checks(ring_name, r, lattice, cls, ag, solve_genus,
                                f"({len(matched.leaves)} leaves)"))
 
     name = "shape_implies_planar"
-    hit = None
-    for kind in ("star_with_matching", "double_star"):
-        m = match_shape(ag, kind)
-        if m is not None:
-            hit = m
-            break
+    hit = find_shape("star_with_matching") or find_shape("double_star")
     if hit is None:
         out.append(_passed(name, ring_name, r, "no shape match"))
     elif check_planar():
@@ -421,9 +413,9 @@ def run_suite(corpus=None, suite: str = "all", *,
               time_budget_ms: int | None = DEFAULT_TIME_BUDGET_MS) -> SuiteReport:
     """Run the selected checks over a corpus of (name, ring) pairs.
 
-    ``corpus`` defaults to the frozen built-in corpus; entries may also be
-    bare spec strings.  Results keep corpus order; rings whose tables fail
-    the axiom check report the witness and skip their downstream checks.
+    ``corpus`` defaults to the frozen built-in corpus.  Results keep corpus
+    order; rings whose tables fail the axiom check report the witness and
+    skip their downstream checks.
     """
     if suite not in SUITE_SELECTORS:
         raise ValueError(f"unknown suite selector {suite!r}; "
@@ -436,13 +428,7 @@ def run_suite(corpus=None, suite: str = "all", *,
     want = {"lemmas", "shapes", "genus"} if suite == "all" else {suite}
     results: list[CheckResult] = []
 
-    for entry in corpus:
-        if isinstance(entry, str):
-            from .specs import parse_ring_spec
-            name = entry
-            ring = parse_ring_spec(entry).build()
-        else:
-            name, ring = entry
+    for name, ring in corpus:
         report = validate_ring(ring)
         if not report.ok:
             results.append(_failed("ring_axioms", name, ring,
@@ -462,11 +448,13 @@ def run_suite(corpus=None, suite: str = "all", *,
             results.append(check_unique_minimal_and_socle(ring, lattice, cls, name))
         if "shapes" in want or "genus" in want:
             ag = build_ag(ring, lattice)
-            # Solved and tested at most once per ring, and only when a check asks.
+            # Matched, solved and tested at most once per ring, and only when
+            # a check asks.
+            find_shape = functools.cache(functools.partial(match_shape, ag))
             solve_genus = functools.cache(lambda: genus_exact(ag, **budgets))
             check_planar = functools.cache(lambda: is_planar(ag))
             if "shapes" in want:
-                results.extend(_shape_checks(name, ring, lattice, cls, ag,
+                results.extend(_shape_checks(name, ring, cls, ag, find_shape,
                                              solve_genus, check_planar))
             if "genus" in want:
                 results.extend(_genus_checks(name, ring, ag, solve_genus,

@@ -21,7 +21,6 @@ import pytest
 from annigraph.genus import (
     GenusResult,
     _Budget,
-    _adjacency_dict,
     _component_euler_bound,
     _components,
     _connected_edge_order,
@@ -259,7 +258,7 @@ def genus_exact_whole(g) -> GenusResult:
     components.
     """
     budget = _Budget(None, None)
-    adj = _adjacency_dict(g)
+    adj = dict(enumerate(g.adjacency))
     comps = [c for c in _components(adj) if len(c) > 1]
     edges = [e for comp in comps for e in _connected_edge_order(comp, adj)]
     search = _EmbeddingSearch([v for comp in comps for v in comp], edges, budget)

@@ -2,7 +2,8 @@ import pytest
 
 from annigraph.classify import classify, unique_minimal_ideal
 from annigraph.ideals import all_ideals, name_ideal
-from annigraph.rings import make_poly_quotient, make_zn
+from annigraph.rings import make_zn
+from annigraph.specs import parse_ring_spec
 
 from conftest import brute_force_ideals, brute_product, make_f2xy_x2xyy2, make_f2xy_x2y2
 
@@ -56,13 +57,16 @@ def test_non_local_ring_gets_maximal_ideals_only():
     assert cls.is_gorenstein is None
 
 
-def test_field_conventions():
-    ring = make_poly_quotient(2, (1, 1, 1))
+@pytest.mark.parametrize("spec", ["zn:2", "zn:31", "cat:f4", "cat:f8", "cat:f9"])
+def test_field_conventions(spec):
+    ring = parse_ring_spec(spec).build()
     lattice, cls = classify_ring(ring)
     assert cls.is_local and cls.is_field
-    assert cls.t == 0
-    assert cls.residue_size == 4
+    assert cls.m == lattice.zero
+    assert cls.t == 0 and cls.powers == (cls.m,)
+    assert cls.residue_size == ring.size
     assert cls.vdim_profile == ()
+    assert cls.socle == lattice.unit and cls.socle_dim == 1
     assert cls.is_gorenstein and cls.is_spir
     assert unique_minimal_ideal(lattice) is None
 
@@ -113,4 +117,4 @@ def test_classify_hashes_the_ring_only_for_output(ring):
     _, cls = classify_ring(ring)
     assert "fingerprint" not in vars(ring)
     assert cls.ring is ring
-    assert cls.ring_fingerprint == ring.fingerprint
+    assert cls.ring.fingerprint == ring.fingerprint

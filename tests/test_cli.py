@@ -202,6 +202,11 @@ def test_invalid_input_exit_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "info", "cat:k5")  # graph where a ring is needed
     assert code == 2 and "needs a ring" in err
+    code, out, err = run(capsys, "verify", "cat:k5")
+    assert code == 2 and out == "" and one_line_error(err) and "names a graph" in err
+    for spec in ("cat:k0", "cat:km:0:3"):  # graph constructors reject the size
+        code, out, err = run(capsys, "genus", spec)
+        assert code == 2 and out == "" and one_line_error(err), err
 
 
 def test_output_to_file(capsys, tmp_path):
@@ -225,6 +230,10 @@ def one_line_error(err):
     [1, 2, 3],
     {"size": float("inf"), "zero": 0, "one": 1, "add": [[0]], "mul": [[0]]},
     {"size": 2.7, "zero": 0.2, "one": 1.9, "add": [[0, 1], [1, 0]],
+     "mul": [[0, 0], [0, 1]]},
+    {"size": "2", "zero": 0, "one": True, "add": [[0, 1], [1, 0]],
+     "mul": [[0, 0], [0, 1]]},
+    {"size": 2, "zero": False, "one": 1, "add": [[0, 1], [1, 0]],
      "mul": [[0, 0], [0, 1]]},
 ])
 def test_malformed_table_file_exit_code(capsys, tmp_path, blob):
@@ -250,6 +259,8 @@ F2XY_SC = {"p": 2, "rank": 3, "basis": ["1", "x", "y"],
     {**F2XY_SC, "basis": 5},
     {key: F2XY_SC[key] for key in ("p", "basis", "mul")},
     [1, 2, 3],
+    {**F2XY_SC, "p": "2"},
+    {**F2XY_SC, "rank": True},
 ])
 def test_malformed_structure_constant_file_exit_code(capsys, tmp_path, blob):
     path = tmp_path / "ring.json"

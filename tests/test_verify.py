@@ -4,6 +4,7 @@ from annigraph.classify import classify
 from annigraph.graphs import build_ag, complete_bipartite, complete_graph, simple_graph
 from annigraph.ideals import all_ideals
 from annigraph.rings import FiniteRing, make_poly_quotient, make_zn
+from annigraph.specs import parse_ring_spec
 from annigraph.verify import (
     UNREACHABLE_FACTS,
     check_socle_containment_lemma,
@@ -19,7 +20,12 @@ from conftest import make_f2xy_x2xyy2, make_f2xy_x2y2
 
 def prepared(ring):
     lattice = all_ideals(ring)
-    return ring, lattice, classify(ring, lattice)
+    return ring, lattice, classify(ring, lattice), "fixture"
+
+
+def named(*specs):
+    """(spec, ring) corpus entries for ``run_suite``."""
+    return [(spec, parse_ring_spec(spec).build()) for spec in specs]
 
 
 def test_subideal_count_on_z16():
@@ -135,7 +141,7 @@ def test_suite_reports_corrupted_ring_with_witness():
     mul = [list(row) for row in z4.mul]
     mul[2][2] = 2
     bad = FiniteRing(size=4, add=z4.add, mul=tuple(tuple(r) for r in mul))
-    report = run_suite([("broken", bad), "zn:8"], suite="lemmas")
+    report = run_suite([("broken", bad), *named("zn:8")], suite="lemmas")
     assert not report.ok
     (fail,) = [r for r in report.results if r.status == "fail"]
     assert fail.check == "ring_axioms" and fail.ring == "broken"
@@ -145,13 +151,13 @@ def test_suite_reports_corrupted_ring_with_witness():
 
 
 def test_suite_on_fields_only_is_vacuous_but_green():
-    report = run_suite(["zn:5", "cat:f4", "cat:f8"], suite="all")
+    report = run_suite(named("zn:5", "cat:f4", "cat:f8"), suite="all")
     assert report.ok
     assert all(r.status in ("pass", "skipped") for r in report.results)
 
 
 def test_unreachable_facts_are_reported():
-    report = run_suite(["zn:8"], suite="lemmas")
+    report = run_suite(named("zn:8"), suite="lemmas")
     names = {r.check: r for r in report.results if r.ring == "-"}
     assert set(names) == {fact for fact, _ in UNREACHABLE_FACTS}
     for fact, hypothesis in UNREACHABLE_FACTS:
@@ -160,7 +166,7 @@ def test_unreachable_facts_are_reported():
 
 
 def test_shape_analog_checks_fire_for_quadratics():
-    report = run_suite(["cat:f2xy_x2y2", "cat:f3xy_x2y2"], suite="shapes")
+    report = run_suite(named("cat:f2xy_x2y2", "cat:f3xy_x2y2"), suite="shapes")
     assert report.ok
     analogs = [r for r in report.results if r.check == "t2_star_with_matching_analog"]
     assert len(analogs) == 2
@@ -170,7 +176,7 @@ def test_shape_analog_checks_fire_for_quadratics():
 
 
 def test_genus_suite_checks():
-    report = run_suite(["zn:12", "zn:64", "cat:f2xy_x2y2"], suite="genus")
+    report = run_suite(named("zn:12", "zn:64", "cat:f2xy_x2y2"), suite="genus")
     assert report.ok
     genus_lines = {r.ring: r.detail for r in report.results if r.check == "ag_genus"}
     assert genus_lines == {
@@ -181,7 +187,7 @@ def test_genus_suite_checks():
 
 
 def test_report_formats():
-    report = run_suite(["zn:8"], suite="lemmas")
+    report = run_suite(named("zn:8"), suite="lemmas")
     text = report.to_text()
     assert "summary:" in text
     import json
