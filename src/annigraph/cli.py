@@ -14,13 +14,7 @@ import os
 import sys
 
 from .classify import classification_to_json, classify
-from .genus import (
-    DEFAULT_NODE_BUDGET,
-    DEFAULT_TIME_BUDGET_MS,
-    GenusResult,
-    genus_exact,
-    rotation_to_json,
-)
+from .genus import DEFAULT_NODE_BUDGET, GenusResult, genus_exact
 from .graphs import build_ag, graph_to_json, to_dot
 from .ideals import all_ideals, lattice_to_json, name_ideal
 from .rings import FiniteRing, RingError, ring_to_json
@@ -46,11 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_budget_flags(p):
+    def add_budget_flag(p):
         p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
                        help=f"search node budget (default {DEFAULT_NODE_BUDGET})")
-        p.add_argument("--budget-ms", type=int, default=DEFAULT_TIME_BUDGET_MS,
-                       help=f"time budget in ms (default {DEFAULT_TIME_BUDGET_MS})")
 
     p = sub.add_parser("info", help="print the classification of a ring")
     p.add_argument("spec")
@@ -72,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
-    add_budget_flags(p)
+    add_budget_flag(p)
 
     p = sub.add_parser("verify", help="run the check suites over a corpus")
     p.add_argument("specs", nargs="*",
@@ -80,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITE_SELECTORS, default="all")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default=None)
-    add_budget_flags(p)
+    add_budget_flag(p)
 
     p = sub.add_parser("corpus", help="materialize the built-in corpus as "
                                       "ring table files")
@@ -105,10 +97,6 @@ def _ring(spec_text: str) -> FiniteRing:
     return obj
 
 
-def _budgets(args) -> dict:
-    return {"node_budget": args.budget_nodes, "time_budget_ms": args.budget_ms}
-
-
 def _genus_text(res: GenusResult) -> str:
     if res.exact:
         return f"exact {res.upper}\n"
@@ -121,7 +109,7 @@ def _genus_json(res: GenusResult) -> str:
         "lower": res.lower,
         "upper": res.upper,
         "status": res.status,
-        "witness": None if res.witness is None else rotation_to_json(res.witness),
+        "witness": None if res.witness is None else [list(row) for row in res.witness],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -174,7 +162,7 @@ def _run_graph(args) -> int:
 def _run_genus(args) -> int:
     obj = parse_ring_spec(args.spec).build()
     g = build_ag(obj, all_ideals(obj)) if isinstance(obj, FiniteRing) else obj
-    res = genus_exact(g, **_budgets(args))
+    res = genus_exact(g, node_budget=args.budget_nodes)
     _emit(_genus_text(res) if args.format == "text" else _genus_json(res),
           args.out)
     return EXIT_OK if res.exact else EXIT_BUDGET
@@ -182,7 +170,7 @@ def _run_genus(args) -> int:
 
 def _run_verify(args) -> int:
     corpus = [(spec, _ring(spec)) for spec in args.specs] or None
-    report = run_suite(corpus, args.suite, **_budgets(args))
+    report = run_suite(corpus, args.suite, node_budget=args.budget_nodes)
     if args.format == "json":
         text = report.to_json()
     elif args.format == "csv":

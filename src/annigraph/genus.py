@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .graphs import SimpleGraph
 
 DEFAULT_NODE_BUDGET = 100_000_000
-DEFAULT_TIME_BUDGET_MS = 300_000
 
 RotationSystem = tuple  # per-vertex tuples of neighbor indices in cyclic order
 
@@ -119,8 +118,9 @@ def _lr_rotation(verts, edges) -> dict[int, list[int]] | None:
 
 
 def is_planar(g: SimpleGraph) -> bool:
-    """LR planarity test (networkx); must agree with the exact solver at genus 0."""
-    return _lr_rotation(range(g.n_vertices), g.edges) is not None
+    """Planarity, agreeing with the exact solver at genus 0: under 9 edges a
+    graph is planar (K5 and K3,3 have 10 and 9), else the LR test (networkx)."""
+    return g.n_edges < 9 or _lr_rotation(range(g.n_vertices), g.edges) is not None
 
 
 def verify_embedding(g: SimpleGraph, rotation) -> int:
@@ -171,10 +171,6 @@ def verify_embedding(g: SimpleGraph, rotation) -> int:
     return total
 
 
-def rotation_to_json(rotation) -> list:
-    return [list(row) for row in rotation]
-
-
 # ---------------------------------------------------------------------------
 # Exact search
 
@@ -213,7 +209,6 @@ def _reduce(adj: dict[int, set[int]]):
             for v in sorted(adj):
                 deg = len(adj[v])
                 if deg == 0:
-                    records.append(("isolated", v))
                     del adj[v]
                     shrinking = True
                 elif deg == 1:
@@ -239,11 +234,9 @@ def _reduce(adj: dict[int, set[int]]):
 
 def _restore_rotation(rot: dict[int, list[int]], records) -> dict[int, list[int]]:
     for rec in reversed(records):
-        if rec[0] == "isolated":
-            rot[rec[1]] = []
-        elif rec[0] == "leaf":
+        if rec[0] == "leaf":
             _, v, p = rec
-            rot[p].append(v)
+            rot.setdefault(p, []).append(v)
             rot[v] = [p]
         else:
             _, v, a, b = rec
@@ -254,35 +247,23 @@ def _restore_rotation(rot: dict[int, list[int]], records) -> dict[int, list[int]
 
 
 def _connected_edge_order(verts, adj):
-    """BFS edge order: spanning-tree edges first (each attaching a new
-    vertex), then the remaining edges keyed to complete early vertices first."""
+    """BFS edge order, each edge from its earlier to its later vertex: the
+    |V|-1 tree edges in BFS order (each attaching a new vertex), then the
+    rest by (later, earlier) position, so early vertices complete first."""
     degs = {v: len(adj[v]) for v in verts}
     root = min(verts, key=lambda v: (-degs[v], v))
     order = {root: 0}
+    parent = {root: None}
     queue = [root]
-    tree = []
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+    for v in queue:
         for w in sorted(adj[v], key=lambda w: (-degs[w], w)):
             if w not in order:
                 order[w] = len(order)
+                parent[w] = v
                 queue.append(w)
-                tree.append((v, w))
-    cotree = []
-    tree_set = {(min(a, b), max(a, b)) for a, b in tree}
-    for v in sorted(verts):
-        for w in sorted(adj[v]):
-            if v < w and (v, w) not in tree_set:
-                cotree.append((v, w))
-    cotree.sort(key=lambda e: (max(order[e[0]], order[e[1]]),
-                               min(order[e[0]], order[e[1]])))
-    oriented = [
-        (u, v) if order[u] < order[v] else (v, u)
-        for u, v in cotree
-    ]
-    return tree + oriented
+    edges = [(u, w) for w in queue for u in adj[w] if order[u] < order[w]]
+    edges.sort(key=lambda e: (parent[e[1]] != e[0], order[e[1]], order[e[0]]))
+    return edges
 
 
 class _EmbeddingSearch:
@@ -512,12 +493,13 @@ def _solve_component(verts, adj, budget):
 
 
 def genus_exact(g: SimpleGraph, *, node_budget: int | None = DEFAULT_NODE_BUDGET,
-                time_budget_ms: int | None = DEFAULT_TIME_BUDGET_MS) -> GenusResult:
+                time_budget_ms: int | None = None) -> GenusResult:
     """Exact orientable genus with a certifying rotation system.
 
     Searches component by component after genus-preserving reductions.  When
-    the node/time budget runs out the result carries the bounds established
-    so far with status "budget_exhausted".
+    ``node_budget`` runs out the result carries the bounds established so far
+    with status "budget_exhausted"; it depends only on the graph and the
+    budget.  ``time_budget_ms`` adds a machine-dependent cut, off by default.
     """
     budget = _Budget(node_budget, time_budget_ms)
     reduced, records = _reduce(dict(enumerate(g.adjacency)))

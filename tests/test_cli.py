@@ -3,6 +3,7 @@ import json
 import os
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -129,6 +130,22 @@ def test_genus_budget_exit_code(capsys):
     code, out, _ = run(capsys, "genus", "cat:k7", "--budget-nodes", "1")
     assert code == 3
     assert out.startswith("budget_exhausted")
+
+
+def test_genus_answer_reads_no_clock(capsys, monkeypatch):
+    def no_clock():
+        raise AssertionError("clock read")
+
+    monkeypatch.setattr(time, "monotonic", no_clock)
+    assert run(capsys, "genus", "cat:k7") == (0, "exact 1\n", "")
+
+
+@pytest.mark.parametrize("argv", [("genus", "cat:k5"), ("verify", "zn:8")])
+def test_wall_clock_budget_flag_is_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--budget-ms", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget-ms" in capsys.readouterr().err
 
 
 def test_genus_deep_graph_exits_with_bounds(capsys):

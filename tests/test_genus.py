@@ -1,9 +1,13 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from annigraph import genus
 from annigraph.genus import (
     EmbeddingError,
+    _connected_edge_order,
     euler_lower_bound,
     genus_exact,
     is_planar,
@@ -113,6 +117,16 @@ def test_planarity_fixtures():
     assert not is_planar(complete_bipartite(3, 3))
     path = simple_graph("abcd", [(0, 1), (1, 2), (2, 3)])
     assert is_planar(path)
+
+
+def test_planarity_under_nine_edges_needs_no_lr_test(monkeypatch):
+    # K5 and K3,3 have 10 and 9 edges, so a graph with 8 or fewer is planar.
+    def no_lr(verts, edges):
+        raise AssertionError("LR test called")
+
+    monkeypatch.setattr(genus, "_lr_rotation", no_lr)
+    assert is_planar(complete_graph(4))
+    assert is_planar(complete_bipartite(2, 4))
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -297,3 +311,45 @@ def test_deep_graph_degrades_to_bounds():
     assert res.upper is not None and res.lower <= res.upper
     assert res.lower >= euler_lower_bound(g)
     assert verify_embedding(g, res.witness) == res.upper
+
+
+def test_default_search_reads_no_clock(monkeypatch):
+    def no_clock():
+        raise AssertionError("clock read")
+
+    monkeypatch.setattr(time, "monotonic", no_clock)
+    res = genus_exact(complete_graph(7))
+    assert res.exact and res.upper == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_connected_edge_order_contract(data):
+    n = data.draw(st.integers(2, 12))
+    labels = data.draw(st.permutations(range(n)))
+    adj = {v: set() for v in labels}
+
+    def connect(a, b):
+        if a != b:
+            adj[labels[a]].add(labels[b])
+            adj[labels[b]].add(labels[a])
+
+    for v in range(1, n):  # a random spanning tree keeps the graph connected
+        connect(v, data.draw(st.integers(0, v - 1)))
+    for a, b in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)), max_size=30)):
+        connect(a, b)
+
+    edges = _connected_edge_order(labels, adj)
+    assert sorted(tuple(sorted(e)) for e in edges) == sorted(
+        (u, w) for u in adj for w in adj[u] if u < w)
+    # Positions in order of first appearance; each of the first |V|-1 edges
+    # attaches a new vertex.
+    pos = {edges[0][0]: 0}
+    for u, w in edges[:n - 1]:
+        assert u in pos and w not in pos
+        pos[w] = len(pos)
+    assert len(pos) == n
+    assert all(pos[u] < pos[w] for u, w in edges)
+    rest = [(pos[w], pos[u]) for u, w in edges[n - 1:]]
+    assert rest == sorted(rest)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from annigraph.classify import classify
@@ -249,3 +251,11 @@ def test_text_report_leaves_ring_fingerprints_unhashed(capsys, monkeypatch):
     by_name = dict(fresh)
     for res in report.results:
         assert res.fingerprint == by_name[res.ring].fingerprint
+
+
+def test_default_suite_reads_no_clock(monkeypatch):
+    def no_clock():
+        raise AssertionError("clock read")
+
+    monkeypatch.setattr(time, "monotonic", no_clock)
+    assert run_suite(named("zn:12")).ok
