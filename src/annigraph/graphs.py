@@ -7,7 +7,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ideals import IdealLattice, annihilating_ideals, name_ideal
-from .rings import FiniteRing
+from .rings import FiniteRing, RingError
+
+# Hard cap on graph size: K_1448, the largest complete graph under it, peaks
+# at 368 MB while SimpleGraph checks its 1,047,628 edges.
+MAX_EDGES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,8 @@ def simple_graph(vertices, edges) -> SimpleGraph:
 def complete_graph(n: int) -> SimpleGraph:
     if n < 1:
         raise ValueError("complete graph needs at least 1 vertex")
+    if n * (n - 1) // 2 > MAX_EDGES:
+        raise ValueError(f"K_{n} has more than {MAX_EDGES} edges, the cap")
     return simple_graph(
         [str(i) for i in range(n)],
         [(i, j) for i in range(n) for j in range(i + 1, n)],
@@ -71,6 +77,8 @@ def complete_bipartite(m: int, n: int) -> SimpleGraph:
     """K_{m,n}; labels a0..a(m-1) / b0..b(n-1) record part membership."""
     if m < 1 or n < 1:
         raise ValueError("bipartite parts need at least 1 vertex each")
+    if m * n > MAX_EDGES:
+        raise ValueError(f"K_{m},{n} has more than {MAX_EDGES} edges, the cap")
     labels = [f"a{i}" for i in range(m)] + [f"b{j}" for j in range(n)]
     edges = [(i, m + j) for i in range(m) for j in range(n)]
     return simple_graph(labels, edges)
@@ -81,12 +89,15 @@ def build_ag(r: FiniteRing, lattice: IdealLattice) -> SimpleGraph:
     annihilator; distinct I, J are adjacent exactly when IJ = (0), that is
     when J lies in Ann(I)."""
     verts = annihilating_ideals(lattice)
-    labels = [name_ideal(i, lattice) for i in verts]
     masks = [i.mask for i in verts]
     anns = [lattice.annihilators[lattice.index_of(i)] for i in verts]
-    edges = [(a, b) for a, ann in enumerate(anns)
-             for b in range(a + 1, len(verts)) if masks[b] & ~ann == 0]
-    return simple_graph(labels, edges)
+    edges = []
+    for a, ann in enumerate(anns):
+        edges += [(a, b) for b in range(a + 1, len(verts)) if masks[b] & ~ann == 0]
+        if len(edges) > MAX_EDGES:
+            raise RingError(f"the annihilating-ideal graph has more than "
+                            f"{MAX_EDGES} edges, the cap")
+    return simple_graph([name_ideal(i, lattice) for i in verts], edges)
 
 
 def _dot_id(label: str) -> str:

@@ -1,11 +1,11 @@
 """Executable checks over a ring corpus.
 
 Each check quantifies a structural fact about local Artinian rings over its
-applicability set inside one ring and reports pass, fail (with a witness),
-or skipped (with the hypothesis that rules the ring out).  The suite runner
-adds graph-shape recognizers for the star patterns that planar
-annihilating-ideal graphs collapse to, genus verdicts for every corpus
-graph, and a registry of facts whose hypotheses no finite ring can satisfy.
+applicability set inside one ring and yields outcomes (check, status, text,
+witness): pass, fail (with a witness), or skipped (with the hypothesis that
+rules the ring out).  ``run_suite`` runs them with graph-shape recognizers
+for the star patterns of planar annihilating-ideal graphs, genus verdicts
+and a registry of facts whose hypotheses no finite ring can satisfy.
 """
 
 from __future__ import annotations
@@ -47,150 +47,131 @@ class CheckResult:
         return self.status == "fail"
 
 
-def _passed(check, ring, source, detail=""):
-    return CheckResult(check, ring, source, "pass", detail=detail)
-
-
-def _failed(check, ring, source, witness, detail=""):
-    return CheckResult(check, ring, source, "fail", witness=witness, detail=detail)
-
-
-def _skipped(check, ring, source, reason):
-    return CheckResult(check, ring, source, "skipped", reason=reason)
-
-
-def _nonzero_principals(r: FiniteRing, lattice: IdealLattice):
+def _nonzero_principals(lattice: IdealLattice):
     """Distinct nonzero principal ideals, smallest generator first."""
-    zero_mask = 1 << r.zero
-    return [Ideal(r, m) for m in lattice.principals if m != zero_mask]
+    return [Ideal(lattice.ring, m) for m in lattice.principals
+            if m != lattice.zero.mask]
 
 
-def check_subideal_count_lemma(r: FiniteRing, lattice: IdealLattice,
-                               cls: RingClassification,
-                               ring_name: str) -> list[CheckResult]:
+def _subideal_count(lattice: IdealLattice, cls: RingClassification):
     """For every level n and nonzero principal I below m^(n-1) but not m^n,
     the sub-ideal counts must satisfy |sub(I)| = |sub(I & m^n)| + 1."""
     name = "subideal_count"
     if not cls.is_local:
-        return [_skipped(name, ring_name, r, "non-local ring")]
-    if cls.is_field:
-        return [_skipped(name, ring_name, r,
-                         "field: no proper nonzero principal ideals")]
-    chain = [lattice.unit, *cls.powers]  # chain[k] = m^k, chain[0] = R
-    principals = _nonzero_principals(r, lattice)
-    out = []
-    for n in range(1, cls.t + 2):
-        upper = chain[n - 1]
-        lower = chain[n]
-        for ideal in principals:
-            if not ideal.issubset(upper) or ideal.issubset(lower):
-                continue
-            lhs = len(sub_ideals(ideal, lattice))
-            meet = Ideal(r, ideal.mask & lower.mask)
-            rhs = len(sub_ideals(meet, lattice)) + 1
-            label = name_ideal(ideal, lattice)
-            detail = f"n={n} I={label}: |sub(I)|={lhs}, |sub(I&m^n)|+1={rhs}"
-            if lhs == rhs:
-                out.append(_passed(name, ring_name, r, detail))
-            else:
-                out.append(_failed(name, ring_name, r,
-                                   {"n": n, "ideal": label, "lhs": lhs, "rhs": rhs},
-                                   detail))
-    return out
+        yield name, "skipped", "non-local ring", None
+    elif cls.is_field:
+        yield name, "skipped", "field: no proper nonzero principal ideals", None
+    else:
+        chain = [lattice.unit, *cls.powers]  # chain[k] = m^k, chain[0] = R
+        principals = _nonzero_principals(lattice)
+        for n in range(1, cls.t + 2):
+            upper = chain[n - 1]
+            lower = chain[n]
+            for ideal in principals:
+                if not ideal.issubset(upper) or ideal.issubset(lower):
+                    continue
+                lhs = len(sub_ideals(ideal, lattice))
+                meet = Ideal(lattice.ring, ideal.mask & lower.mask)
+                rhs = len(sub_ideals(meet, lattice)) + 1
+                label = name_ideal(ideal, lattice)
+                detail = f"n={n} I={label}: |sub(I)|={lhs}, |sub(I&m^n)|+1={rhs}"
+                if lhs == rhs:
+                    yield name, "pass", detail, None
+                else:
+                    yield name, "fail", detail, {"n": n, "ideal": label,
+                                                 "lhs": lhs, "rhs": rhs}
 
 
-def check_socle_containment_lemma(r: FiniteRing, lattice: IdealLattice,
-                                  cls: RingClassification,
-                                  ring_name: str) -> list[CheckResult]:
+def _socle_containment(lattice: IdealLattice, cls: RingClassification):
     """In a local Gorenstein ring, a principal ideal with exactly three
     sub-ideals is annihilated by m^2."""
     name = "socle_containment"
     if not cls.is_local:
-        return [_skipped(name, ring_name, r, "non-local ring")]
-    if cls.is_field:
-        return [_skipped(name, ring_name, r, "field: no applicable principal ideals")]
-    if not cls.is_gorenstein:
-        return [_skipped(name, ring_name, r,
-                         f"not Gorenstein (socle dimension {cls.socle_dim})")]
-    m2 = cls.powers[1]
-    zero_mask = 1 << r.zero
-    out = []
-    for ideal in _nonzero_principals(r, lattice):
-        if len(sub_ideals(ideal, lattice)) != 3:
-            continue
-        label = name_ideal(ideal, lattice)
-        prod = lattice.product(m2, ideal)
-        detail = f"I={label}: m^2*I = {name_ideal(prod, lattice)}"
-        if prod.mask == zero_mask:
-            out.append(_passed(name, ring_name, r, detail))
-        else:
-            out.append(_failed(name, ring_name, r, {"ideal": label,
-                                                "product": list(prod.members)}, detail))
-    if not out:
-        out.append(_passed(name, ring_name, r,
-                           "vacuous: no principal ideal with exactly 3 sub-ideals"))
-    return out
+        yield name, "skipped", "non-local ring", None
+    elif cls.is_field:
+        yield name, "skipped", "field: no applicable principal ideals", None
+    elif not cls.is_gorenstein:
+        yield (name, "skipped",
+               f"not Gorenstein (socle dimension {cls.socle_dim})", None)
+    else:
+        m2 = cls.powers[1]
+        applicable = False
+        for ideal in _nonzero_principals(lattice):
+            if len(sub_ideals(ideal, lattice)) != 3:
+                continue
+            applicable = True
+            label = name_ideal(ideal, lattice)
+            prod = lattice.product(m2, ideal)
+            detail = f"I={label}: m^2*I = {name_ideal(prod, lattice)}"
+            if prod == lattice.zero:
+                yield name, "pass", detail, None
+            else:
+                yield name, "fail", detail, {"ideal": label,
+                                             "product": list(prod.members)}
+        if not applicable:
+            yield (name, "pass",
+                   "vacuous: no principal ideal with exactly 3 sub-ideals", None)
 
 
-def check_spir_chain_lemma(r: FiniteRing, lattice: IdealLattice,
-                           cls: RingClassification,
-                           ring_name: str) -> CheckResult:
+def _spir_chain(lattice: IdealLattice, cls: RingClassification):
     """Where some m^n/m^(n+1) is one-dimensional, everything below m^n must be
     a power of m; at n = 1 the whole ring must be a special principal ideal ring."""
     name = "spir_chain"
     if not cls.is_local:
-        return _skipped(name, ring_name, r, "non-local ring")
-    if cls.is_field:
-        return _passed(name, ring_name, r, "vacuous: field has no chain levels")
-    chain = [lattice.unit, *cls.powers]  # chain[k] = m^k
-    zero_mask = 1 << r.zero
-    checked = []
-    for n in range(1, cls.t + 1):
-        if cls.vdim_profile[n - 1] != 1:
-            continue
-        expected = {chain[i].mask for i in range(n, cls.t + 1)}
-        actual = {i.mask for i in sub_ideals(chain[n], lattice) if i.mask != zero_mask}
-        if actual != expected:
-            return _failed(name, ring_name, r, {
-                "n": n,
-                "expected": sorted(name_ideal(Ideal(r, m), lattice) for m in expected),
-                "actual": sorted(name_ideal(Ideal(r, m), lattice) for m in actual),
-            }, f"n={n}: sub-ideals of m^{n} are not the chain of powers")
-        if n == 1 and not cls.is_spir:
-            return _failed(name, ring_name, r, {"n": 1, "is_spir": False},
-                           "v.dim m/m^2 = 1 but ring not flagged SPIR")
-        checked.append(n)
-    if checked:
-        return _passed(name, ring_name, r,
-                       "chain levels verified at n=" + ",".join(map(str, checked)))
-    return _passed(name, ring_name, r, "vacuous: no level with v.dim 1")
+        yield name, "skipped", "non-local ring", None
+    elif cls.is_field:
+        yield name, "pass", "vacuous: field has no chain levels", None
+    else:
+        chain = [lattice.unit, *cls.powers]  # chain[k] = m^k
+        checked = []
+        for n in range(1, cls.t + 1):
+            if cls.vdim_profile[n - 1] != 1:
+                continue
+            expected = {chain[i].mask for i in range(n, cls.t + 1)}
+            actual = {i.mask for i in sub_ideals(chain[n], lattice) if i != lattice.zero}
+            if actual != expected:
+                detail = f"n={n}: sub-ideals of m^{n} are not the chain of powers"
+                yield name, "fail", detail, {
+                    "n": n,
+                    "expected": sorted(name_ideal(Ideal(lattice.ring, m), lattice)
+                                       for m in expected),
+                    "actual": sorted(name_ideal(Ideal(lattice.ring, m), lattice)
+                                     for m in actual),
+                }
+                return
+            if n == 1 and not cls.is_spir:
+                yield (name, "fail", "v.dim m/m^2 = 1 but ring not flagged SPIR",
+                       {"n": 1, "is_spir": False})
+                return
+            checked.append(n)
+        yield (name, "pass", "chain levels verified at n=" + ",".join(map(str, checked))
+               if checked else "vacuous: no level with v.dim 1", None)
 
 
-def check_unique_minimal_and_socle(r: FiniteRing, lattice: IdealLattice,
-                                   cls: RingClassification,
-                                   ring_name: str) -> CheckResult:
+def _unique_minimal_socle(lattice: IdealLattice, cls: RingClassification):
     """Local Gorenstein non-fields: Ann(m) = m^t and m^t is the unique minimal ideal."""
     name = "unique_minimal_socle"
     if not cls.is_local:
-        return _skipped(name, ring_name, r, "non-local ring")
-    if cls.is_field:
-        return _skipped(name, ring_name, r, "field: zero ideal is maximal")
-    if not cls.is_gorenstein:
-        return _skipped(name, ring_name, r,
-                        f"not Gorenstein (socle dimension {cls.socle_dim})")
-    mt = cls.powers[cls.t - 1]
-    minimal = unique_minimal_ideal(lattice)
-    ok_socle = cls.socle.mask == mt.mask
-    ok_min = minimal is not None and minimal.mask == mt.mask
-    detail = (f"socle={name_ideal(cls.socle, lattice)} m^t={name_ideal(mt, lattice)} "
-              f"unique_minimal={'none' if minimal is None else name_ideal(minimal, lattice)}")
-    if ok_socle and ok_min:
-        return _passed(name, ring_name, r, detail)
-    return _failed(name, ring_name, r, {
-        "socle": list(cls.socle.members),
-        "m_power_t": list(mt.members),
-        "unique_minimal": None if minimal is None else list(minimal.members),
-    }, detail)
+        yield name, "skipped", "non-local ring", None
+    elif cls.is_field:
+        yield name, "skipped", "field: zero ideal is maximal", None
+    elif not cls.is_gorenstein:
+        yield (name, "skipped",
+               f"not Gorenstein (socle dimension {cls.socle_dim})", None)
+    else:
+        mt = cls.powers[cls.t - 1]
+        minimal = unique_minimal_ideal(lattice)
+        label = "none" if minimal is None else name_ideal(minimal, lattice)
+        detail = (f"socle={name_ideal(cls.socle, lattice)} "
+                  f"m^t={name_ideal(mt, lattice)} unique_minimal={label}")
+        if cls.socle == mt == minimal:
+            yield name, "pass", detail, None
+        else:
+            yield name, "fail", detail, {
+                "socle": list(cls.socle.members),
+                "m_power_t": list(mt.members),
+                "unique_minimal": None if minimal is None else list(minimal.members),
+            }
 
 
 @dataclass(frozen=True)
@@ -261,21 +242,16 @@ UNREACHABLE_FACTS = (
 )
 
 
-def _shape_checks(ring_name, r, cls, ag, find_shape, solve_genus,
-                  check_planar) -> list[CheckResult]:
-    out = []
-
+def _shape_checks(cls, ag, find_shape, solve_genus, check_planar):
     name = "t1_two_proper_ideals"
     if cls.is_local and cls.is_gorenstein and not cls.is_field and cls.t == 1:
         detail = f"ideal_count={cls.ideal_count}"
         if cls.ideal_count == 3:
-            out.append(_passed(name, ring_name, r, detail))
+            yield name, "pass", detail, None
         else:
-            out.append(_failed(name, ring_name, r,
-                               {"ideal_count": cls.ideal_count}, detail))
+            yield name, "fail", detail, {"ideal_count": cls.ideal_count}
     else:
-        out.append(_skipped(name, ring_name, r,
-                            "needs a local Gorenstein non-field with t = 1"))
+        yield name, "skipped", "needs a local Gorenstein non-field with t = 1", None
 
     for name, t_wanted, profile, kind in (
         ("t2_star_with_matching_analog", 2, (2, 1), "star_with_matching"),
@@ -284,65 +260,56 @@ def _shape_checks(ring_name, r, cls, ag, find_shape, solve_genus,
         applicable = (cls.is_local and cls.is_gorenstein and not cls.is_field
                       and cls.t == t_wanted and cls.vdim_profile == profile)
         if not applicable:
-            out.append(_skipped(name, ring_name, r,
-                                f"needs local Gorenstein, t = {t_wanted}, "
-                                f"v.dim profile {list(profile)}"))
+            yield (name, "skipped", f"needs local Gorenstein, t = {t_wanted}, "
+                   f"v.dim profile {list(profile)}", None)
             continue
         matched = find_shape(kind)
         if matched is None:
-            out.append(_failed(name, ring_name, r,
-                               {"edges": [list(e) for e in ag.edges]},
-                               f"graph does not match {kind}"))
+            yield (name, "fail", f"graph does not match {kind}",
+                   {"edges": [list(e) for e in ag.edges]})
             continue
         res = solve_genus()
         if not res.exact:
-            out.append(_skipped(name, ring_name, r, "genus budget exhausted"))
+            yield name, "skipped", "genus budget exhausted", None
         elif res.upper != 0:
-            out.append(_failed(name, ring_name, r, {"genus": res.upper},
-                               f"{kind} matched but genus = {res.upper}"))
+            yield (name, "fail", f"{kind} matched but genus = {res.upper}",
+                   {"genus": res.upper})
         else:
             center = ag.vertices[matched.centers[0]]
-            out.append(_passed(name, ring_name, r,
-                               f"{kind} centered at {center}, genus 0 "
-                               f"({len(matched.leaves)} leaves)"))
+            yield (name, "pass", f"{kind} centered at {center}, genus 0 "
+                   f"({len(matched.leaves)} leaves)", None)
 
     name = "shape_implies_planar"
     hit = find_shape("star_with_matching") or find_shape("double_star")
     if hit is None:
-        out.append(_passed(name, ring_name, r, "no shape match"))
+        yield name, "pass", "no shape match", None
     elif check_planar():
-        out.append(_passed(name, ring_name, r, f"{hit.kind} match and planar"))
+        yield name, "pass", f"{hit.kind} match and planar", None
     else:
-        out.append(_failed(name, ring_name, r,
-                           {"kind": hit.kind, "edges": [list(e) for e in ag.edges]},
-                           f"{hit.kind} matched but graph is non-planar"))
-    return out
+        yield (name, "fail", f"{hit.kind} matched but graph is non-planar",
+               {"kind": hit.kind, "edges": [list(e) for e in ag.edges]})
 
 
-def _genus_checks(ring_name, r, ag, solve_genus, check_planar) -> list[CheckResult]:
+def _genus_checks(ag, solve_genus, check_planar):
     res = solve_genus()
     if not res.exact:
-        reason = "budget exhausted on genus computation"
-        return [_skipped("ag_genus", ring_name, r, reason),
-                _skipped("euler_bound_le_genus", ring_name, r, reason),
-                _skipped("planar_iff_genus_zero", ring_name, r, reason)]
+        for name in ("ag_genus", "euler_bound_le_genus", "planar_iff_genus_zero"):
+            yield name, "skipped", "budget exhausted on genus computation", None
+        return
     g = res.upper
-    out = [_passed("ag_genus", ring_name, r, f"genus={g}")]
+    yield "ag_genus", "pass", f"genus={g}", None
     lb = euler_lower_bound(ag)
     if lb <= g:
-        out.append(_passed("euler_bound_le_genus", ring_name, r, f"{lb} <= {g}"))
+        yield "euler_bound_le_genus", "pass", f"{lb} <= {g}", None
     else:
-        out.append(_failed("euler_bound_le_genus", ring_name, r,
-                           {"euler": lb, "genus": g}, f"{lb} > {g}"))
+        yield ("euler_bound_le_genus", "fail", f"{lb} > {g}",
+               {"euler": lb, "genus": g})
     planar = check_planar()
     if planar == (g == 0):
-        out.append(_passed("planar_iff_genus_zero", ring_name, r,
-                           f"planar={planar} genus={g}"))
+        yield "planar_iff_genus_zero", "pass", f"planar={planar} genus={g}", None
     else:
-        out.append(_failed("planar_iff_genus_zero", ring_name, r,
-                           {"planar": planar, "genus": g},
-                           f"planar={planar} but genus={g}"))
-    return out
+        yield ("planar_iff_genus_zero", "fail", f"planar={planar} but genus={g}",
+               {"planar": planar, "genus": g})
 
 
 SUITE_SELECTORS = ("lemmas", "shapes", "genus", "all")
@@ -402,6 +369,43 @@ class SuiteReport:
         return buf.getvalue()
 
 
+def _result(check, ring, source, status, text="", witness=None) -> CheckResult:
+    """A check outcome as a result: ``text`` is the reason of a skip and the
+    detail of a pass or a fail."""
+    if status == "skipped":
+        return CheckResult(check, ring, source, status, reason=text, witness=witness)
+    return CheckResult(check, ring, source, status, witness=witness, detail=text)
+
+
+def _ring_checks(ring, want, budgets):
+    """The outcomes of the wanted checks on one ring, its axioms first; a ring
+    whose tables fail an axiom gets no other check."""
+    report = validate_ring(ring)
+    if not report.ok:
+        yield ("ring_axioms", "fail", f"{report.axiom} fails at {report.witness}",
+               {"axiom": report.axiom, "witness": list(report.witness)})
+        return
+    yield ("ring_axioms", "pass", "" if report.triples_checked else
+           f"triple axioms not checked above {TRIPLE_CHECK_CAP} elements", None)
+    lattice = all_ideals(ring)
+    cls = classify(ring, lattice)
+    if "lemmas" in want:
+        for lemma in (_subideal_count, _socle_containment, _spir_chain,
+                      _unique_minimal_socle):
+            yield from lemma(lattice, cls)
+    if "shapes" in want or "genus" in want:
+        ag = build_ag(ring, lattice)
+        # Matched, solved and tested at most once per ring, and only when a
+        # check asks.
+        find_shape = functools.cache(functools.partial(match_shape, ag))
+        solve_genus = functools.cache(lambda: genus_exact(ag, **budgets))
+        check_planar = functools.cache(lambda: is_planar(ag))
+        if "shapes" in want:
+            yield from _shape_checks(cls, ag, find_shape, solve_genus, check_planar)
+        if "genus" in want:
+            yield from _genus_checks(ag, solve_genus, check_planar)
+
+
 def run_suite(corpus=None, suite: str = "all", *,
               node_budget: int | None = DEFAULT_NODE_BUDGET,
               time_budget_ms: int | None = None) -> SuiteReport:
@@ -418,45 +422,12 @@ def run_suite(corpus=None, suite: str = "all", *,
     if corpus is None:
         from .specs import builtin_corpus
         corpus = builtin_corpus()
-    budgets = {"node_budget": node_budget, "time_budget_ms": time_budget_ms}
-
     want = {"lemmas", "shapes", "genus"} if suite == "all" else {suite}
-    results: list[CheckResult] = []
-
-    for name, ring in corpus:
-        report = validate_ring(ring)
-        if not report.ok:
-            results.append(_failed("ring_axioms", name, ring,
-                                   {"axiom": report.axiom,
-                                    "witness": list(report.witness)},
-                                   f"{report.axiom} fails at {report.witness}"))
-            continue
-        detail = ("" if report.triples_checked else
-                  f"triple axioms not checked above {TRIPLE_CHECK_CAP} elements")
-        results.append(_passed("ring_axioms", name, ring, detail))
-        lattice = all_ideals(ring)
-        cls = classify(ring, lattice)
-        if "lemmas" in want:
-            results.extend(check_subideal_count_lemma(ring, lattice, cls, name))
-            results.extend(check_socle_containment_lemma(ring, lattice, cls, name))
-            results.append(check_spir_chain_lemma(ring, lattice, cls, name))
-            results.append(check_unique_minimal_and_socle(ring, lattice, cls, name))
-        if "shapes" in want or "genus" in want:
-            ag = build_ag(ring, lattice)
-            # Matched, solved and tested at most once per ring, and only when
-            # a check asks.
-            find_shape = functools.cache(functools.partial(match_shape, ag))
-            solve_genus = functools.cache(lambda: genus_exact(ag, **budgets))
-            check_planar = functools.cache(lambda: is_planar(ag))
-            if "shapes" in want:
-                results.extend(_shape_checks(name, ring, cls, ag, find_shape,
-                                             solve_genus, check_planar))
-            if "genus" in want:
-                results.extend(_genus_checks(name, ring, ag, solve_genus,
-                                             check_planar))
-
+    budgets = {"node_budget": node_budget, "time_budget_ms": time_budget_ms}
+    results = [_result(check, name, ring, *outcome)
+               for name, ring in corpus
+               for check, *outcome in _ring_checks(ring, want, budgets)]
     if "lemmas" in want:
-        for check, hypothesis in UNREACHABLE_FACTS:
-            results.append(_skipped(check, "-", None, hypothesis))
-
+        results += [_result(check, "-", None, "skipped", hypothesis)
+                    for check, hypothesis in UNREACHABLE_FACTS]
     return SuiteReport(suite, tuple(results))

@@ -22,10 +22,6 @@ from annigraph.rings import make_poly_quotient, make_zn
 from annigraph.specs import builtin_corpus, parse_ring_spec
 from annigraph.verify import (
     UNREACHABLE_FACTS,
-    check_socle_containment_lemma,
-    check_spir_chain_lemma,
-    check_subideal_count_lemma,
-    check_unique_minimal_and_socle,
     match_shape,
     run_suite,
 )
@@ -175,13 +171,7 @@ def test_criterion_5_lemma_suites_over_corpus():
     with criterion(5, "all four lemma checks pass with zero counterexamples "
                       "over the built-in corpus"):
         for name, ring in builtin_corpus():
-            lattice = all_ideals(ring)
-            cls = classify(ring, lattice)
-            results = []
-            results.extend(check_subideal_count_lemma(ring, lattice, cls, name))
-            results.extend(check_socle_containment_lemma(ring, lattice, cls, name))
-            results.append(check_spir_chain_lemma(ring, lattice, cls, name))
-            results.append(check_unique_minimal_and_socle(ring, lattice, cls, name))
+            results = run_suite([(name, ring)], "lemmas").results
             failures = [r for r in results if r.status == "fail"]
             assert not failures, f"{name}: {failures}"
 

@@ -221,7 +221,8 @@ def test_invalid_input_exit_code(capsys):
     assert code == 2 and "needs a ring" in err
     code, out, err = run(capsys, "verify", "cat:k5")
     assert code == 2 and out == "" and one_line_error(err) and "names a graph" in err
-    for spec in ("cat:k0", "cat:km:0:3"):  # graph constructors reject the size
+    # The graph constructors reject the size: no vertex, or over MAX_EDGES edges.
+    for spec in ("cat:k0", "cat:km:0:3", "cat:k2000", "cat:km:2000:2000"):
         code, out, err = run(capsys, "genus", spec)
         assert code == 2 and out == "" and one_line_error(err), err
 
@@ -298,6 +299,23 @@ def test_table_file_with_zero_elsewhere_loads(capsys, tmp_path):
     assert out == "0\t(zero)\t[0]\n1\t(one)\t[0, 1]\n"
 
 
+def square_zero_algebra(rank):
+    """F2[x_1, ..., x_(rank-1)] modulo every product x_i x_j, as an sc: blob."""
+    unit = [[int(c == k) for c in range(rank)] for k in range(rank)]
+    return {"p": 2, "rank": rank, "basis": ["1", *(f"x{i}" for i in range(1, rank))],
+            "mul": [[unit[i + j] if 0 in (i, j) else [0] * rank for j in range(rank)]
+                    for i in range(rank)]}
+
+
+def test_ag_above_the_edge_cap_exits_2(capsys, tmp_path):
+    # Rank 7: 128 elements and 2,826 ideals, all but R inside m, and m^2 = 0,
+    # so the AG is K_2824 with 3,986,076 edges.
+    path = tmp_path / "square_zero.json"
+    path.write_text(json.dumps(square_zero_algebra(7)))
+    code, out, err = run(capsys, "graph", f"sc:{path}")
+    assert code == 2 and out == "" and one_line_error(err) and "cap" in err, err
+
+
 def test_whitespace_in_spec_exit_code(capsys):
     code, out, err = run(capsys, "info", "zn:4\t")
     assert code == 2 and out == ""
@@ -350,6 +368,21 @@ def test_verify_report_bytes_are_pinned(capsys, fmt):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[fmt]
+
+
+# sha256 of the text report of ``verify --suite S`` on the built-in corpus.
+SUITE_DIGESTS = {
+    "lemmas": "bcfbf465f4a7bd7229636b3b62a6c3914c2b8fd6f3be4b909247af83a63f5529",
+    "shapes": "0a12d7621cc7221a31a71b5dd418591afc96fc031f82661daa6d2f79c244b786",
+    "genus": "8afcdf0dca4a4ba2e515a64c1d02553b5fab92dad2c2e71f4bac187824ea83cb",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_DIGESTS))
+def test_verify_suite_report_bytes_are_pinned(capsys, suite):
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_DIGESTS[suite]
 
 
 # Spec fuzz.  Rings stay small: factors of at most 25 elements, at most two

@@ -1,28 +1,24 @@
+import collections
+import functools
+import math
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from annigraph.classify import classify
 from annigraph.graphs import build_ag, complete_bipartite, complete_graph, simple_graph
 from annigraph.ideals import all_ideals
 from annigraph.rings import FiniteRing, make_poly_quotient, make_zn
 from annigraph.specs import parse_ring_spec
-from annigraph.verify import (
-    UNREACHABLE_FACTS,
-    check_socle_containment_lemma,
-    check_spir_chain_lemma,
-    check_subideal_count_lemma,
-    check_unique_minimal_and_socle,
-    match_shape,
-    run_suite,
-)
+from annigraph.verify import UNREACHABLE_FACTS, match_shape, run_suite
 
 from conftest import make_f2xy_x2xyy2, make_f2xy_x2y2
 
 
-def prepared(ring):
-    lattice = all_ideals(ring)
-    return ring, lattice, classify(ring, lattice), "fixture"
+def lemma(check, ring):
+    """The results of one lemma check on one ring, through ``run_suite``."""
+    return [r for r in run_suite([("fixture", ring)], "lemmas").results
+            if r.check == check]
 
 
 def named(*specs):
@@ -31,7 +27,7 @@ def named(*specs):
 
 
 def test_subideal_count_on_z16():
-    results = check_subideal_count_lemma(*prepared(make_zn(16)))
+    results = lemma("subideal_count", make_zn(16))
     assert all(r.status == "pass" for r in results)
     details = {r.detail for r in results}
     # (2) = m sits at level n=2 (generator in m^1 but not m^2): counts 4 = 3+1.
@@ -40,48 +36,48 @@ def test_subideal_count_on_z16():
 
 
 def test_subideal_count_skips():
-    (skip,) = check_subideal_count_lemma(*prepared(make_zn(12)))
+    (skip,) = lemma("subideal_count", make_zn(12))
     assert skip.status == "skipped" and "non-local" in skip.reason
-    (skip,) = check_subideal_count_lemma(*prepared(make_poly_quotient(2, (1, 1, 1))))
+    (skip,) = lemma("subideal_count", make_poly_quotient(2, (1, 1, 1)))
     assert skip.status == "skipped" and "field" in skip.reason
 
 
 def test_subideal_count_passes_on_quadratic():
-    results = check_subideal_count_lemma(*prepared(make_f2xy_x2y2()))
+    results = lemma("subideal_count", make_f2xy_x2y2())
     assert results and all(r.status == "pass" for r in results)
 
 
 def test_socle_containment_applicable_cases():
-    results = check_socle_containment_lemma(*prepared(make_f2xy_x2y2()))
+    results = lemma("socle_containment", make_f2xy_x2y2())
     applicable = [r for r in results if r.status == "pass" and "I=(" in r.detail]
     assert {r.detail.split(":")[0] for r in applicable} >= {"I=(x)", "I=(y)", "I=(x+y)"}
 
-    results = check_socle_containment_lemma(*prepared(make_zn(8)))
+    results = lemma("socle_containment", make_zn(8))
     assert all(r.status == "pass" for r in results)
 
-    (skip,) = check_socle_containment_lemma(*prepared(make_f2xy_x2xyy2()))
+    (skip,) = lemma("socle_containment", make_f2xy_x2xyy2())
     assert skip.status == "skipped" and "Gorenstein" in skip.reason
 
 
 def test_spir_chain_fixtures():
-    res = check_spir_chain_lemma(*prepared(make_zn(27)))
+    (res,) = lemma("spir_chain", make_zn(27))
     assert res.status == "pass" and "n=1,2" in res.detail
 
-    res = check_spir_chain_lemma(*prepared(make_f2xy_x2y2()))
+    (res,) = lemma("spir_chain", make_f2xy_x2y2())
     assert res.status == "pass" and "n=2" in res.detail
 
-    res = check_spir_chain_lemma(*prepared(make_zn(12)))
+    (res,) = lemma("spir_chain", make_zn(12))
     assert res.status == "skipped" and "non-local" in res.reason
 
 
 def test_unique_minimal_and_socle_fixtures():
-    res = check_unique_minimal_and_socle(*prepared(make_zn(8)))
+    (res,) = lemma("unique_minimal_socle", make_zn(8))
     assert res.status == "pass" and "socle=(4)" in res.detail
 
-    res = check_unique_minimal_and_socle(*prepared(make_f2xy_x2y2()))
+    (res,) = lemma("unique_minimal_socle", make_f2xy_x2y2())
     assert res.status == "pass" and "socle=(xy)" in res.detail
 
-    res = check_unique_minimal_and_socle(*prepared(make_f2xy_x2xyy2()))
+    (res,) = lemma("unique_minimal_socle", make_f2xy_x2xyy2())
     assert res.status == "skipped" and "Gorenstein" in res.reason
 
 
@@ -259,3 +255,38 @@ def test_default_suite_reads_no_clock(monkeypatch):
 
     monkeypatch.setattr(time, "monotonic", no_clock)
     assert run_suite(named("zn:12")).ok
+
+
+_SMALL_FACTORS = [f"zn:{n}" for n in range(2, 17)] + [
+    "cat:f4", "cat:f8", "cat:f9", "cat:f2x_x3", "cat:f3x_x2", "cat:f2xy_x2y2",
+    "cat:f2xy_x2xyy2"]
+# Every check that reports one result per ring; subideal_count and
+# socle_containment report one per applicable ideal, or one skip or vacuous pass.
+_SINGLE_RESULT_CHECKS = {
+    "ring_axioms", "spir_chain", "unique_minimal_socle", "t1_two_proper_ideals",
+    "t2_star_with_matching_analog", "t3_double_star_analog", "shape_implies_planar",
+    "ag_genus", "euler_bound_le_genus", "planar_iff_genus_zero"}
+
+
+@functools.cache
+def _size(spec):
+    return parse_ring_spec(spec).build().size
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_SMALL_FACTORS), min_size=2, max_size=2)
+       .filter(lambda factors: math.prod(map(_size, factors)) <= 64))
+def test_every_check_reports_by_one_protocol(factors):
+    spec = f"prod:({factors[0]},{factors[1]})"
+    report = run_suite(named(spec), "all", node_budget=2000)
+    results = [r for r in report.results if r.ring == spec]
+    assert results[0].check == "ring_axioms" and results[0].status == "pass"
+    counts = collections.Counter(r.check for r in results)
+    assert {check: counts[check] for check in _SINGLE_RESULT_CHECKS} == \
+        dict.fromkeys(_SINGLE_RESULT_CHECKS, 1)
+    assert counts["subideal_count"] >= 1 and counts["socle_containment"] >= 1
+    for res in results:
+        if res.status == "skipped":
+            assert res.reason and not res.detail
+        else:
+            assert res.status in ("pass", "fail") and not res.reason
