@@ -18,7 +18,6 @@ from .graphs import (
     to_dot,
 )
 from .ideals import (
-    Ideal,
     IdealLattice,
     all_ideals,
     annihilating_ideals,

@@ -5,14 +5,15 @@ index t of the maximal ideal (m^t != 0, m^(t+1) = 0), the residue field
 size q, the dimension profile of the chain m/m^2, m^2/m^3, ..., the socle
 Ann(m), and the Gorenstein and special-principal-ideal-ring predicates.
 Every finite commutative ring is Artinian, so the local machinery always
-applies when the ring is local.
+applies when the ring is local.  Ideals are lattice masks (see ``ideals``),
+so inclusion is one AND and equality is ``==``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ideals import Ideal, IdealLattice, name_ideal, sub_ideals
+from .ideals import IdealLattice, members, name_ideal, sub_ideals
 from .rings import FiniteRing, RingError, _prime_power
 
 
@@ -31,6 +32,7 @@ def _power_exponent(value: int, base: int):
 class RingClassification:
     """Classification record; local-only fields are None for non-local rings.
 
+    ``maximal_ideals``, ``m``, ``powers`` and ``socle`` hold ideal masks.
     ``powers`` is [m, m^2, ..., m^t, (0)] for a local ring (``powers[k]`` is
     m^(k+1)), computed once here for the checks that read them.  A field is
     the local ring with m = (0); the local computation then gives t = 0,
@@ -41,15 +43,15 @@ class RingClassification:
 
     ring: FiniteRing = field(repr=False)
     ideal_count: int
-    maximal_ideals: tuple[Ideal, ...]
+    maximal_ideals: tuple[int, ...]
     is_local: bool
     is_field: bool = False
-    m: Ideal | None = None
+    m: int | None = None
     t: int = 0
-    powers: tuple[Ideal, ...] = field(default=(), repr=False)
+    powers: tuple[int, ...] = field(default=(), repr=False)
     residue_size: int | None = None
     vdim_profile: tuple[int, ...] = ()
-    socle: Ideal | None = None
+    socle: int | None = None
     socle_dim: int | None = None
     is_gorenstein: bool | None = None
     is_spir: bool | None = None
@@ -57,12 +59,9 @@ class RingClassification:
 
 def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
     """Full classification from a complete lattice."""
-    unit_mask = (1 << r.size) - 1
-    zero_mask = 1 << r.zero
-    proper = [i for i in lattice.ideals if i.mask != unit_mask]
+    proper = lattice.ideals[:-1]
     maximal = tuple(
-        i for i in proper
-        if not any(i.mask != j.mask and i.mask & ~j.mask == 0 for j in proper)
+        i for i in proper if not any(i != j and i & ~j == 0 for j in proper)
     )
     count = len(lattice)
     if len(maximal) != 1:
@@ -74,13 +73,13 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
         )
 
     m = maximal[0]
-    q, rem = divmod(r.size, m.cardinality)
+    q, rem = divmod(r.size, m.bit_count())
     if rem != 0 or _prime_power(q) is None:
-        raise RingError(f"residue size {r.size}/{m.cardinality} is not a prime power; "
+        raise RingError(f"residue size {r.size}/{m.bit_count()} is not a prime power; "
                         "input is not a valid local ring")
 
     powers = [m]
-    while powers[-1].mask != zero_mask:
+    while powers[-1] != lattice.zero:
         powers.append(lattice.product(powers[-1], m))
         if len(powers) > r.size:
             raise RingError("maximal ideal is not nilpotent; input ring is invalid")
@@ -88,26 +87,25 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
 
     profile = []
     for k in range(t):
-        num, den = powers[k], powers[k + 1]
-        d = _power_exponent(num.cardinality // den.cardinality, q)
-        if d is None or num.cardinality % den.cardinality:
+        num, den = powers[k].bit_count(), powers[k + 1].bit_count()
+        d = _power_exponent(num // den, q)
+        if d is None or num % den:
             raise RingError(f"|m^{k + 1}/m^{k + 2}| is not a power of q={q}")
         profile.append(d)
 
-    socle = Ideal(r, lattice.annihilators[lattice.index_of(m)])
-    socle_dim = _power_exponent(socle.cardinality, q)
+    socle = lattice.annihilators[lattice.index_of(m)]
+    socle_dim = _power_exponent(socle.bit_count(), q)
     if socle_dim is None:
         raise RingError("socle size is not a power of the residue size")
 
-    power_masks = {p.mask for p in powers}
-    is_spir = {i.mask for i in lattice.ideals} == power_masks | {unit_mask}
+    is_spir = set(lattice.ideals) == {*powers, lattice.unit}
 
     return RingClassification(
         ring=r,
         ideal_count=count,
         maximal_ideals=maximal,
         is_local=True,
-        is_field=m.mask == zero_mask,
+        is_field=m == lattice.zero,
         m=m,
         t=t,
         powers=tuple(powers),
@@ -120,29 +118,21 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
     )
 
 
-def unique_minimal_ideal(lattice: IdealLattice) -> Ideal | None:
+def unique_minimal_ideal(lattice: IdealLattice) -> int | None:
     """The unique minimal nonzero proper ideal, or None if there are zero or
     several.  Fields have no nonzero proper ideals, so they return None."""
-    zero_mask = 1 << lattice.ring.zero
-    minimal = [
-        i for i in lattice.ideals
-        if i.mask != zero_mask and not i.is_unit
-        and len(sub_ideals(i, lattice)) == 2
-    ]
+    minimal = [i for i in lattice.ideals[1:-1] if len(sub_ideals(i, lattice)) == 2]
     return minimal[0] if len(minimal) == 1 else None
 
 
 def classification_to_json(c: RingClassification, lattice: IdealLattice) -> dict:
-    def iname(i):
-        return None if i is None else name_ideal(i, lattice)
-
     def imembers(i):
-        return None if i is None else list(i.members)
+        return None if i is None else list(members(i))
 
     return {
         "ring": c.ring.fingerprint,
         "ideal_count": c.ideal_count,
-        "maximal_ideals": [iname(i) for i in c.maximal_ideals],
+        "maximal_ideals": [name_ideal(i, lattice) for i in c.maximal_ideals],
         "is_local": c.is_local,
         "is_field": c.is_field,
         "m": imembers(c.m),

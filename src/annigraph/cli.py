@@ -16,7 +16,7 @@ import sys
 from .classify import classification_to_json, classify
 from .genus import DEFAULT_NODE_BUDGET, GenusResult, genus_exact
 from .graphs import build_ag, graph_to_json, to_dot
-from .ideals import all_ideals, lattice_to_json, name_ideal
+from .ideals import all_ideals, lattice_to_json, members, name_ideal
 from .rings import FiniteRing, RingError, ring_to_json
 from .specs import (
     SpecParseError,
@@ -32,6 +32,13 @@ EXIT_INVALID_INPUT = 2
 EXIT_BUDGET = 3
 
 
+def _node_count(text: str) -> int:
+    """A ``--budget-nodes`` value: an integer >= 0, in decimal digits."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="annigraph",
@@ -41,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget_flag(p):
-        p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
+        p.add_argument("--budget-nodes", type=_node_count, default=DEFAULT_NODE_BUDGET,
                        help=f"search node budget (default {DEFAULT_NODE_BUDGET})")
 
     p = sub.add_parser("info", help="print the classification of a ring")
@@ -141,7 +148,7 @@ def _run_ideals(args) -> int:
               args.out)
     else:
         lines = [
-            f"{k}\t{name_ideal(i, lattice)}\t{list(i.members)}"
+            f"{k}\t{name_ideal(i, lattice)}\t{list(members(i))}"
             for k, i in enumerate(lattice.ideals)
         ]
         _emit("\n".join(lines) + "\n", args.out)

@@ -89,11 +89,10 @@ def build_ag(r: FiniteRing, lattice: IdealLattice) -> SimpleGraph:
     annihilator; distinct I, J are adjacent exactly when IJ = (0), that is
     when J lies in Ann(I)."""
     verts = annihilating_ideals(lattice)
-    masks = [i.mask for i in verts]
-    anns = [lattice.annihilators[lattice.index_of(i)] for i in verts]
+    ann = dict(zip(lattice.ideals, lattice.annihilators))
     edges = []
-    for a, ann in enumerate(anns):
-        edges += [(a, b) for b in range(a + 1, len(verts)) if masks[b] & ~ann == 0]
+    for a, i in enumerate(verts):
+        edges += [(a, b) for b in range(a + 1, len(verts)) if verts[b] & ~ann[i] == 0]
         if len(edges) > MAX_EDGES:
             raise RingError(f"the annihilating-ideal graph has more than "
                             f"{MAX_EDGES} edges, the cap")

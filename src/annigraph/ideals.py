@@ -1,7 +1,9 @@
 """Ideals of a finite commutative ring and the complete ideal lattice.
 
-An ideal is stored as a bitmask over element indices, so membership is O(1)
-and set algebra is a couple of word operations.
+An ideal is its bitmask over element indices: bit x is set exactly when
+element x is a member, so membership is one shift and set algebra is a
+couple of word operations.  ``members(mask)`` lists the member indices.
+The lattice and every function here take and return masks.
 
 The principal ideal Rx is the value set of row x of the multiplication
 table, so one scatter over the table gives the mask of every principal
@@ -21,7 +23,7 @@ sums for all seeds at once, instead of one |I| x |P| gather per pair.
 
 Ideal arithmetic happens on the lattice.  It is sorted by cardinality, and
 the ideals containing a set are closed under intersection, so the first one
-whose mask contains the set is the smallest ideal containing it.  A product
+that contains the set is the smallest ideal containing it.  A product
 IJ is the smallest ideal containing g*h over the least generators g of the
 principal ideals inside I and h of those inside J: I and J are the sums of
 those principal ideals, so IJ is the sum of the R(g*h).  Adjacency in the
@@ -46,53 +48,20 @@ LATTICE_CAP = 100_000
 _GATHER_CAP = 1 << 20
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """A subset of ring elements closed under + and under ring multiples."""
-
-    ring: FiniteRing
-    mask: int
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
-
-    @property
-    def cardinality(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def is_unit(self) -> bool:
-        return self.mask == (1 << self.ring.size) - 1
-
-    def __contains__(self, element: int) -> bool:
-        return bool(self.mask >> element & 1)
-
-    def issubset(self, other: "Ideal") -> bool:
-        return self.mask & ~other.mask == 0
-
-
 @dataclass(frozen=True)
 class IdealLattice:
-    """All ideals of a ring, sorted by (cardinality, member list).
+    """The masks of all ideals of a ring, sorted by (cardinality, member list).
 
     ``principals`` maps the mask of each distinct principal ideal to its
     least generator, in generator order.
     """
 
     ring: FiniteRing
-    ideals: tuple[Ideal, ...]
+    ideals: tuple[int, ...]
     principals: dict[int, int] = field(repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_mask", {i.mask: k for k, i in enumerate(self.ideals)})
+        object.__setattr__(self, "_by_mask", {m: k for k, m in enumerate(self.ideals)})
 
     def __len__(self) -> int:
         return len(self.ideals)
@@ -100,33 +69,31 @@ class IdealLattice:
     def __iter__(self):
         return iter(self.ideals)
 
-    def index_of(self, ideal: Ideal) -> int:
-        return self._by_mask[ideal.mask]
+    def index_of(self, ideal: int) -> int:
+        return self._by_mask[ideal]
 
     @property
-    def zero(self) -> Ideal:
+    def zero(self) -> int:
         return self.ideals[0]
 
     @property
-    def unit(self) -> Ideal:
+    def unit(self) -> int:
         return self.ideals[-1]
 
-    def smallest_containing(self, mask: int) -> Ideal:
+    def smallest_containing(self, mask: int) -> int:
         """The smallest ideal containing the elements of ``mask``: the first
-        in cardinality order whose mask contains them."""
-        return next(i for i in self.ideals if mask & ~i.mask == 0)
+        in cardinality order that contains them."""
+        return next(i for i in self.ideals if mask & ~i == 0)
 
-    def _generators(self, ideal: Ideal) -> list[int]:
+    def _generators(self, ideal: int) -> list[int]:
         """The least generators of the principal ideals inside ``ideal``,
         in generator order; their principal ideals sum to ``ideal``."""
-        return [g for m, g in self.principals.items() if m & ~ideal.mask == 0]
+        return [g for m, g in self.principals.items() if m & ~ideal == 0]
 
-    def product(self, i: Ideal, j: Ideal) -> Ideal:
+    def product(self, i: int, j: int) -> int:
         """IJ, the smallest ideal containing g*h over the generators g of I
         and h of J."""
         r = self.ring
-        if i.ring != r or j.ring != r:
-            raise RingError("ideal and lattice belong to different rings")
         flags = np.zeros(r.size, dtype=bool)
         flags[r.mul[np.ix_(self._generators(i), self._generators(j))]] = True
         return self.smallest_containing(_pack(flags))
@@ -153,9 +120,15 @@ class IdealLattice:
         return tuple(out)
 
 
-def _indices(mask: int, n: int) -> np.ndarray:
-    """The element indices in a bitmask over n elements, ascending."""
-    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+def members(mask: int) -> tuple[int, ...]:
+    """The element indices in a mask, ascending."""
+    return tuple(_indices(mask).tolist())
+
+
+def _indices(mask: int) -> np.ndarray:
+    """The element indices in a mask, ascending, as an array."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"),
+                        dtype=np.uint8)
     return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
@@ -219,10 +192,10 @@ def all_ideals(r: FiniteRing) -> IdealLattice:
     # (seed, member) pairs, for marking the cosets each seed meets.
     flags = np.zeros((len(seeds), n), dtype=bool)
     for k, m in enumerate(seeds):
-        flags[k, _indices(m, n)] = True
+        flags[k, _indices(m)] = True
     seed_of, member = np.nonzero(flags)
     while queue:
-        labels = _coset_labels(r, _indices(queue.pop(), n))
+        labels = _coset_labels(r, _indices(queue.pop()))
         meets = np.zeros((len(seeds), n), dtype=bool)
         meets[seed_of, labels[member]] = True
         # A seed inside I meets only the coset I itself; its sum is I.
@@ -232,28 +205,26 @@ def all_ideals(r: FiniteRing) -> IdealLattice:
                 known.add(s)
                 queue.append(s)
                 _check_cap(known, r)
-    masks = sorted(known, key=lambda m: (m.bit_count(), tuple(_bits(m))))
-    return IdealLattice(r, tuple(Ideal(r, m) for m in masks), principals)
+    masks = sorted(known, key=lambda m: (m.bit_count(), members(m)))
+    return IdealLattice(r, tuple(masks), principals)
 
 
-def sub_ideals(j: Ideal, lattice: IdealLattice) -> list[Ideal]:
+def sub_ideals(j: int, lattice: IdealLattice) -> list[int]:
     """All lattice members contained in j, including (0) and j itself."""
-    if j.ring != lattice.ring:
-        raise RingError("ideal and lattice belong to different rings")
-    return [i for i in lattice.ideals if i.mask & ~j.mask == 0]
+    return [i for i in lattice.ideals if i & ~j == 0]
 
 
-def annihilating_ideals(lattice: IdealLattice) -> list[Ideal]:
+def annihilating_ideals(lattice: IdealLattice) -> list[int]:
     """Nonzero ideals with nonzero annihilator, in lattice order."""
-    zero_mask = 1 << lattice.ring.zero
+    zero = lattice.zero
     return [i for i, ann in zip(lattice.ideals, lattice.annihilators)
-            if zero_mask not in (i.mask, ann)]
+            if zero not in (i, ann)]
 
 
-def name_ideal(ideal: Ideal, lattice: IdealLattice) -> str:
+def name_ideal(ideal: int, lattice: IdealLattice) -> str:
     """Generator-based display name: "(x)", "(x,y)", or "I#k" past 2 generators."""
-    r = ideal.ring
-    x = lattice.principals.get(ideal.mask)
+    r = lattice.ring
+    x = lattice.principals.get(ideal)
     if x is not None:
         return f"({r.labels[x]})"
     # The first pair a < b of nonzero members, in member order, with
@@ -261,9 +232,9 @@ def name_ideal(ideal: Ideal, lattice: IdealLattice) -> str:
     # its principal ideal never comes first: the pair of least generators
     # has the same sum and comes earlier.  Ra + Rb lies in I, and
     # |Ra + Rb| = |Ra| |Rb| / |Ra & Rb| for subgroups, so counting decides it.
-    size = ideal.cardinality
+    size = ideal.bit_count()
     inside = [(g, m, m.bit_count()) for m, g in lattice.principals.items()
-              if m & ~ideal.mask == 0 and g != r.zero]
+              if m & ~ideal == 0 and g != r.zero]
     for k, (a, ma, ca) in enumerate(inside):
         for b, mb, cb in inside[k + 1:]:
             if ca * cb == size * (ma & mb).bit_count():
@@ -274,5 +245,5 @@ def name_ideal(ideal: Ideal, lattice: IdealLattice) -> str:
 def lattice_to_json(lattice: IdealLattice) -> dict:
     return {
         "ring": lattice.ring.fingerprint,
-        "ideals": [list(i.members) for i in lattice.ideals],
+        "ideals": [list(members(i)) for i in lattice.ideals],
     }

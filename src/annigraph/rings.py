@@ -441,9 +441,13 @@ def ring_from_json(data: dict) -> FiniteRing:
         size, zero, one = (_integer_field(data, key, "ring table")
                            for key in ("size", "zero", "one"))
         add, mul = (_frozen_table(key, data[key], size) for key in ("add", "mul"))
-        labels = list(data.get("labels") or ())
+        labels = data.get("labels")
     except (KeyError, TypeError) as exc:
         raise RingError(f"malformed ring table file: {exc}") from exc
+    if labels is None:
+        labels = []
+    elif not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        raise RingError("malformed ring table file: labels is not a list of strings")
     if not (0 <= zero < size and 0 <= one < size):
         raise RingError("zero/one index out of range")
     if zero:
@@ -454,6 +458,7 @@ def ring_from_json(data: dict) -> FiniteRing:
         add, mul = _owned(perm[add[grid]]), _owned(perm[mul[grid]])
         one = int(perm[one])
         if zero < len(labels):
+            labels = list(labels)
             labels[0], labels[zero] = labels[zero], labels[0]
     return FiniteRing(size=size, add=add, mul=mul, one=one, labels=tuple(labels))
 

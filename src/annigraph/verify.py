@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .classify import RingClassification, classify, unique_minimal_ideal
 from .genus import DEFAULT_NODE_BUDGET, euler_lower_bound, genus_exact, is_planar
 from .graphs import SimpleGraph, build_ag
-from .ideals import Ideal, IdealLattice, all_ideals, name_ideal, sub_ideals
+from .ideals import IdealLattice, all_ideals, members, name_ideal, sub_ideals
 from .rings import TRIPLE_CHECK_CAP, FiniteRing, validate_ring
 
 
@@ -49,8 +49,7 @@ class CheckResult:
 
 def _nonzero_principals(lattice: IdealLattice):
     """Distinct nonzero principal ideals, smallest generator first."""
-    return [Ideal(lattice.ring, m) for m in lattice.principals
-            if m != lattice.zero.mask]
+    return [m for m in lattice.principals if m != lattice.zero]
 
 
 def _subideal_count(lattice: IdealLattice, cls: RingClassification):
@@ -64,15 +63,12 @@ def _subideal_count(lattice: IdealLattice, cls: RingClassification):
     else:
         chain = [lattice.unit, *cls.powers]  # chain[k] = m^k, chain[0] = R
         principals = _nonzero_principals(lattice)
-        for n in range(1, cls.t + 2):
-            upper = chain[n - 1]
-            lower = chain[n]
+        for n, (upper, lower) in enumerate(zip(chain, chain[1:]), 1):
             for ideal in principals:
-                if not ideal.issubset(upper) or ideal.issubset(lower):
+                if ideal & ~upper or ideal & ~lower == 0:
                     continue
                 lhs = len(sub_ideals(ideal, lattice))
-                meet = Ideal(lattice.ring, ideal.mask & lower.mask)
-                rhs = len(sub_ideals(meet, lattice)) + 1
+                rhs = len(sub_ideals(ideal & lower, lattice)) + 1
                 label = name_ideal(ideal, lattice)
                 detail = f"n={n} I={label}: |sub(I)|={lhs}, |sub(I&m^n)|+1={rhs}"
                 if lhs == rhs:
@@ -107,7 +103,7 @@ def _socle_containment(lattice: IdealLattice, cls: RingClassification):
                 yield name, "pass", detail, None
             else:
                 yield name, "fail", detail, {"ideal": label,
-                                             "product": list(prod.members)}
+                                             "product": list(members(prod))}
         if not applicable:
             yield (name, "pass",
                    "vacuous: no principal ideal with exactly 3 sub-ideals", None)
@@ -127,16 +123,14 @@ def _spir_chain(lattice: IdealLattice, cls: RingClassification):
         for n in range(1, cls.t + 1):
             if cls.vdim_profile[n - 1] != 1:
                 continue
-            expected = {chain[i].mask for i in range(n, cls.t + 1)}
-            actual = {i.mask for i in sub_ideals(chain[n], lattice) if i != lattice.zero}
+            expected = set(chain[n:cls.t + 1])
+            actual = set(sub_ideals(chain[n], lattice)) - {lattice.zero}
             if actual != expected:
                 detail = f"n={n}: sub-ideals of m^{n} are not the chain of powers"
                 yield name, "fail", detail, {
                     "n": n,
-                    "expected": sorted(name_ideal(Ideal(lattice.ring, m), lattice)
-                                       for m in expected),
-                    "actual": sorted(name_ideal(Ideal(lattice.ring, m), lattice)
-                                     for m in actual),
+                    "expected": sorted(name_ideal(m, lattice) for m in expected),
+                    "actual": sorted(name_ideal(m, lattice) for m in actual),
                 }
                 return
             if n == 1 and not cls.is_spir:
@@ -168,9 +162,9 @@ def _unique_minimal_socle(lattice: IdealLattice, cls: RingClassification):
             yield name, "pass", detail, None
         else:
             yield name, "fail", detail, {
-                "socle": list(cls.socle.members),
-                "m_power_t": list(mt.members),
-                "unique_minimal": None if minimal is None else list(minimal.members),
+                "socle": list(members(cls.socle)),
+                "m_power_t": list(members(mt)),
+                "unique_minimal": None if minimal is None else list(members(minimal)),
             }
 
 

@@ -17,7 +17,7 @@ from annigraph.genus import (
     verify_embedding,
 )
 from annigraph.graphs import build_ag, complete_bipartite, complete_graph, simple_graph
-from annigraph.ideals import all_ideals, annihilating_ideals, name_ideal
+from annigraph.ideals import all_ideals, annihilating_ideals, members, name_ideal
 from annigraph.rings import make_poly_quotient, make_zn
 from annigraph.specs import builtin_corpus, parse_ring_spec
 from annigraph.verify import (
@@ -79,7 +79,7 @@ def _oracle_ag(ring, ideal_sets):
 def _built_ag_sets(ring):
     lattice = all_ideals(ring)
     g = build_ag(ring, lattice)
-    names = {name_ideal(i, lattice): frozenset(i.members)
+    names = {name_ideal(i, lattice): frozenset(members(i))
              for i in annihilating_ideals(lattice)}
     verts = {names[label] for label in g.vertices}
     edges = {frozenset((names[g.vertices[u]], names[g.vertices[v]]))
@@ -206,7 +206,7 @@ def test_criterion_7_lattice_oracle_equivalence():
         for name, ring in builtin_corpus():
             if ring.size > 16:
                 continue
-            got = {frozenset(i.members) for i in all_ideals(ring)}
+            got = {frozenset(members(i)) for i in all_ideals(ring)}
             assert got == brute_force_ideals(ring), name
             checked += 1
         assert checked >= 10

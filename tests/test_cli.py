@@ -225,6 +225,15 @@ def test_invalid_input_exit_code(capsys):
     for spec in ("cat:k0", "cat:km:0:3", "cat:k2000", "cat:km:2000:2000"):
         code, out, err = run(capsys, "genus", spec)
         assert code == 2 and out == "" and one_line_error(err), err
+    # A node budget that is not an integer >= 0 is a usage error, from argparse.
+    for argv in (("genus", "cat:k5"), ("verify", "zn:8")):
+        for budget in ("-5", "-1", "five"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--budget-nodes", budget])
+            captured = capsys.readouterr()
+            errors = [line for line in captured.err.splitlines() if "error:" in line]
+            assert exc.value.code == 2 and captured.out == ""
+            assert len(errors) == 1 and "--budget-nodes" in errors[0], captured.err
 
 
 def test_output_to_file(capsys, tmp_path):
@@ -253,6 +262,12 @@ def one_line_error(err):
      "mul": [[0, 0], [0, 1]]},
     {"size": 2, "zero": False, "one": 1, "add": [[0, 1], [1, 0]],
      "mul": [[0, 0], [0, 1]]},
+    {"size": 2, "zero": 0, "one": 1, "add": [[0, 1], [1, 0]],
+     "mul": [[0, 0], [0, 1]], "labels": "ab"},
+    {"size": 2, "zero": 0, "one": 1, "add": [[0, 1], [1, 0]],
+     "mul": [[0, 0], [0, 1]], "labels": {"x": 1, "y": 2}},
+    {"size": 2, "zero": 0, "one": 1, "add": [[0, 1], [1, 0]],
+     "mul": [[0, 0], [0, 1]], "labels": ["a", None]},
 ])
 def test_malformed_table_file_exit_code(capsys, tmp_path, blob):
     path = tmp_path / "ring.json"
@@ -368,6 +383,28 @@ def test_verify_report_bytes_are_pinned(capsys, fmt):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[fmt]
+
+
+# sha256 of each format of ``info``, ``ideals`` and ``graph``: the outputs for
+# the rings of the built-in corpus, in order, concatenated.
+OUTPUT_DIGESTS = {
+    ("info", "json"): "a39a4ee061b68766635ea160e9fcacc63d2ecc2a04c092e80f45d2b6117d7aaf",
+    ("info", "csv"): "fc31c30ffb8efef6c849ae237ad08ec056def11b44a6870ecf76e1acdde11322",
+    ("ideals", "text"): "8b2da0f0737d82a2afa6c1e758833171c65174498efd7fdea80a2fea85d6fd69",
+    ("ideals", "json"): "8e839a02c57c2e6f64f4c35669327dcacf1d7ef24983027f73808dd6dda1dc16",
+    ("graph", "dot"): "8efc98e05585083f406ac01905ba93ad5c0a52b375ae69120a073205cd914eed",
+    ("graph", "json"): "93b29590a35b4682d5feb893d9ba0ace173dcc522dbaff8042799c390f694049",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(OUTPUT_DIGESTS))
+def test_corpus_output_bytes_are_pinned(capsys, command, fmt):
+    digest = hashlib.sha256()
+    for spec in CORPUS_SPEC_STRINGS:
+        code, out, _ = run(capsys, command, spec, "--format", fmt)
+        assert code == 0, spec
+        digest.update(out.encode())
+    assert digest.hexdigest() == OUTPUT_DIGESTS[command, fmt]
 
 
 # sha256 of the text report of ``verify --suite S`` on the built-in corpus.
