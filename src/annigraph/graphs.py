@@ -92,7 +92,8 @@ def build_ag(r: FiniteRing, lattice: IdealLattice) -> SimpleGraph:
     ann = dict(zip(lattice.ideals, lattice.annihilators))
     edges = []
     for a, i in enumerate(verts):
-        edges += [(a, b) for b in range(a + 1, len(verts)) if verts[b] & ~ann[i] == 0]
+        outside = ~ann[i]
+        edges += [(a, b) for b in range(a + 1, len(verts)) if verts[b] & outside == 0]
         if len(edges) > MAX_EDGES:
             raise RingError(f"the annihilating-ideal graph has more than "
                             f"{MAX_EDGES} edges, the cap")

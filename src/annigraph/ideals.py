@@ -5,10 +5,27 @@ element x is a member, so membership is one shift and set algebra is a
 couple of word operations.  ``members(mask)`` lists the member indices.
 The lattice and every function here take and return masks.
 
+``all_ideals`` first splits the ring into local factors.  A finite
+commutative ring is the product of the local rings eR over its primitive
+idempotents e (Atiyah and Macdonald, Thm. 8.7): these are the minimal
+nonzero solutions of e*e = e under "f <= e iff ef = f", they are
+orthogonal and sum to 1, and x -> (e*x)_e is an isomorphism onto the
+product.  An ideal I is then the tuple of its factor ideals eI, since
+eI lies in I and x is the sum of the e*x: I = {x : e*x in eI for every e},
+the AND of the preimage masks of the eI.  Every tuple of factor ideals is
+an ideal, and distinct tuples are distinct ideals, so the lattice is
+exactly the tuples, and its size is the product of the factor lattice
+sizes, which is checked against the cap before any tuple is built.  Each
+factor eR is a ring of its own on the values of row e of ``mul``; its
+ideals come from the closure below.  The principal ideal Rx is the tuple
+of the factor principal ideals R(e*x), and its least generator is the
+least x that gives that tuple.  A local ring has the single primitive
+idempotent 1 and goes straight to the closure.
+
 The principal ideal Rx is the value set of row x of the multiplication
 table, so one scatter over the table gives the mask of every principal
 ideal; the lattice keeps them (``IdealLattice.principals``) for naming
-ideals and for annihilators.  ``all_ideals`` seeds the lattice with them and
+ideals and for annihilators.  The closure seeds the lattice with them and
 adds each ideal it finds to the principal seeds only.  That is complete:
 every ideal I of a finite unital ring is the sum Rx_1 + ... + Rx_k of the
 principal ideals of its members, and the chain Rx_1, Rx_1 + Rx_2, ...
@@ -38,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rings import FiniteRing, RingError
+from .rings import FiniteRing, RingError, _owned
 
 # Abort lattice enumeration beyond this many ideals.
 LATTICE_CAP = 100_000
@@ -88,7 +105,8 @@ class IdealLattice:
     def _generators(self, ideal: int) -> list[int]:
         """The least generators of the principal ideals inside ``ideal``,
         in generator order; their principal ideals sum to ``ideal``."""
-        return [g for m, g in self.principals.items() if m & ~ideal == 0]
+        outside = ~ideal
+        return [g for m, g in self.principals.items() if m & outside == 0]
 
     def product(self, i: int, j: int) -> int:
         """IJ, the smallest ideal containing g*h over the generators g of I
@@ -149,18 +167,18 @@ def _row_blocks(n: int, width: int):
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
-def _least_generators(r: FiniteRing) -> dict[int, int]:
+def _least_generators(r: FiniteRing) -> tuple[dict[int, int], np.ndarray]:
     """Each distinct principal ideal's mask -> its least generator, in
-    generator order.  The mask of Rx is the value set of row x of ``mul``."""
+    generator order, and for each element x the least generator of Rx.
+    The mask of Rx is the value set of row x of ``mul``."""
     n = r.size
     flags = np.zeros((n, n), dtype=bool)
     for rows in _row_blocks(n, n):
         block = r.mul[rows]
         flags[rows][np.arange(len(block))[:, None], block] = True
     out = {}
-    for x, mask in enumerate(_packed_rows(flags)):
-        out.setdefault(mask, x)
-    return out
+    least = [out.setdefault(mask, x) for x, mask in enumerate(_packed_rows(flags))]
+    return out, np.array(least, dtype=np.int64)
 
 
 def _coset_labels(r: FiniteRing, members: np.ndarray) -> np.ndarray:
@@ -172,20 +190,27 @@ def _coset_labels(r: FiniteRing, members: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _check_cap(known: set, r: FiniteRing):
-    if len(known) > LATTICE_CAP:
+def _check_cap(count: int, r: FiniteRing):
+    if count > LATTICE_CAP:
         raise RingError(
             f"ideal lattice exceeds cap ({LATTICE_CAP}); "
             f"ring fingerprint {r.fingerprint[:12]}"
         )
 
 
-def all_ideals(r: FiniteRing) -> IdealLattice:
-    """Enumerate every ideal: principal seeds, then sums of found ideals and seeds."""
+def _in_order(masks) -> tuple[int, ...]:
+    """Masks sorted by (cardinality, member list), the lattice order."""
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), members(m))))
+
+
+def _closure(r: FiniteRing, owner: FiniteRing) -> tuple[IdealLattice, np.ndarray]:
+    """Every ideal of ``r``: principal seeds, then sums of found ideals and
+    seeds.  Also returns the least generator of Rx for each element x.  A
+    lattice over the cap raises an error that names ``owner``."""
     n = r.size
-    principals = _least_generators(r)
+    principals, least = _least_generators(r)
     known = set(principals)
-    _check_cap(known, r)
+    _check_cap(len(known), owner)
     # (0) + P = P and R + P = R, so neither is a seed nor ever queued.
     seeds = [m for m in principals if m not in (1 << r.zero, (1 << n) - 1)]
     queue = list(seeds)
@@ -204,9 +229,95 @@ def all_ideals(r: FiniteRing) -> IdealLattice:
             if s not in known:
                 known.add(s)
                 queue.append(s)
-                _check_cap(known, r)
-    masks = sorted(known, key=lambda m: (m.bit_count(), members(m)))
-    return IdealLattice(r, tuple(masks), principals)
+                _check_cap(len(known), owner)
+    return IdealLattice(r, _in_order(known), principals), least
+
+
+def _primitive_idempotents(r: FiniteRing) -> list[int]:
+    """The minimal nonzero idempotents under f <= e iff ef = f, ascending.
+    Each nonzero idempotent e is below itself, so e is minimal when no
+    other one is below it."""
+    idx = np.arange(r.size)
+    found = np.flatnonzero(r.mul[idx, idx] == idx)
+    found = found[found != r.zero]
+    below = [np.count_nonzero(r.mul[np.ix_(found[rows], found)] == found, axis=1)
+             for rows in _row_blocks(len(found), len(found))]
+    return found[np.concatenate(below) == 1].tolist()
+
+
+def _local_factor(r: FiniteRing, e: int) -> tuple[FiniteRing, np.ndarray]:
+    """The factor eR as a ring on the values of row e of ``mul`` in
+    ascending order, with e as its one, and for each element x the index
+    of e*x in it.  Zero is the least value, so it keeps index 0."""
+    row = r.mul[e]
+    seen = np.zeros(r.size, dtype=bool)
+    seen[row] = True
+    values = np.flatnonzero(seen)
+    index = np.full(r.size, -1, dtype=np.int32)
+    index[values] = np.arange(len(values), dtype=np.int32)
+    grid = np.ix_(values, values)
+    add, mul = index[r.add[grid]], index[r.mul[grid]]
+    # Only a table that is not a ring, possible above the triple-check cap,
+    # leaves eR by a sum or a product.
+    if min(add.min(), mul.min()) < 0:
+        raise RingError(f"the tables are not a ring: {r.labels[e]}*R is not "
+                        f"closed under + and *")
+    factor = FiniteRing(size=len(values), add=_owned(add), mul=_owned(mul),
+                        one=int(index[e]))
+    return factor, index[row]
+
+
+def _preimages(masks: tuple[int, ...], index: np.ndarray, size: int) -> list[int]:
+    """The mask of {x : index[x] in I} for each mask I over 0..size-1."""
+    width = (size + 7) // 8
+    out = []
+    for rows in _row_blocks(len(masks), len(index)):
+        raw = b"".join(m.to_bytes(width, "little") for m in masks[rows])
+        flags = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width),
+                              axis=1, bitorder="little")
+        out += _packed_rows(flags[:, index])
+    return out
+
+
+def all_ideals(r: FiniteRing) -> IdealLattice:
+    """Enumerate every ideal: by the closure on a local ring, else as the
+    tuples of ideals of its local factors."""
+    idempotents = _primitive_idempotents(r)
+    if len(idempotents) == 1:
+        return _closure(r, r)[0]
+    count = 1
+    # Per factor: the preimage of each of its ideals, the preimage of the
+    # principal ideal of each least generator, and for each element x the
+    # least generator of the factor's principal ideal R(e*x).
+    factors = []
+    for e in idempotents:
+        factor, index = _local_factor(r, e)
+        lattice, least = _closure(factor, r)
+        count *= len(lattice)
+        _check_cap(count, r)
+        pre = _preimages(lattice.ideals, index, factor.size)
+        pre_of = dict(zip(lattice.ideals, pre))
+        factors.append((pre, {g: pre_of[m] for m, g in lattice.principals.items()},
+                        least[index].tolist()))
+        # The factor's tables go before the next factor's are built.
+        del factor, lattice
+    unit = (1 << r.size) - 1
+    masks = [unit]
+    for pre, _, _ in factors:
+        masks = [m & p for m in masks for p in pre]
+    # Rx is the tuple of the factor principal ideals R(e*x), each named by
+    # its least generator; x is the least generator of Rx when no smaller
+    # element gives the same tuple.
+    first = {}
+    for x, gens in enumerate(zip(*(least for _, _, least in factors))):
+        first.setdefault(gens, x)
+    principals = {}
+    for gens, x in first.items():
+        mask = unit
+        for (_, principal_pre, _), g in zip(factors, gens):
+            mask &= principal_pre[g]
+        principals[mask] = x
+    return IdealLattice(r, _in_order(masks), principals)
 
 
 def sub_ideals(j: int, lattice: IdealLattice) -> list[int]:

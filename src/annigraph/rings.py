@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,6 +74,26 @@ def _owned(table: np.ndarray) -> np.ndarray:
     return table
 
 
+# C0 and C1 control characters, tab, newline and carriage return among them.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
+
+def _check_labels(labels: tuple[str, ...], n: int):
+    """Labels name the elements and the ideals in every line-based output,
+    so there is one per element, no two alike, and none holds a control
+    character that would split or shift a line."""
+    if len(labels) != n:
+        raise RingError("labels length does not match ring size")
+    if _CONTROL.search("".join(labels)):
+        x = next(x for x, label in enumerate(labels) if _CONTROL.search(label))
+        raise RingError(f"label {x} ({labels[x]!r}) contains a control character")
+    if len(set(labels)) != n:
+        first = {}
+        x = next(x for x, label in enumerate(labels) if first.setdefault(label, x) != x)
+        raise RingError(f"duplicate label {labels[x]!r} at elements "
+                        f"{first[labels[x]]} and {x}")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteRing:
     """A finite commutative ring with 1 != 0, given by element tables.
@@ -107,8 +128,7 @@ class FiniteRing:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(n)))
         else:
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-            if len(self.labels) != n:
-                raise RingError("labels length does not match ring size")
+            _check_labels(self.labels, n)
 
     def __eq__(self, other):
         if self is other:

@@ -268,6 +268,9 @@ def one_line_error(err):
      "mul": [[0, 0], [0, 1]], "labels": {"x": 1, "y": 2}},
     {"size": 2, "zero": 0, "one": 1, "add": [[0, 1], [1, 0]],
      "mul": [[0, 0], [0, 1]], "labels": ["a", None]},
+    {**ring_to_json(make_zn(8)), "labels": ["x"] * 8},
+    {**ring_to_json(make_zn(4)), "labels": ["0", "a\tb", "2\n", "3"]},
+    {**ring_to_json(make_zn(4)), "labels": ["0", "1", "2", "3\r"]},
 ])
 def test_malformed_table_file_exit_code(capsys, tmp_path, blob):
     path = tmp_path / "ring.json"
@@ -301,6 +304,33 @@ def test_malformed_structure_constant_file_exit_code(capsys, tmp_path, blob):
     code, out, err = run(capsys, "info", f"sc:{path}")
     assert code == 2 and out == ""
     assert one_line_error(err) and "structure-constant" in err, err
+
+
+@pytest.mark.parametrize("command", ["ideals", "graph"])
+@pytest.mark.parametrize("labels", [["x"] * 8, ["0", "a\tb", "2\n"] + list("34567")])
+def test_unprintable_labels_print_nothing(capsys, tmp_path, command, labels):
+    # Duplicate labels gave distinct ideals one name, and control characters
+    # split the line formats; both are refused before any output.
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({**ring_to_json(make_zn(8)), "labels": labels}))
+    code, out, err = run(capsys, command, f"table:{path}")
+    assert code == 2 and out == ""
+    assert one_line_error(err), err
+
+
+@pytest.mark.parametrize("basis, message", [
+    (["1", "2"], "duplicate label '2'"),
+    (["1", "x\ny"], "control character"),
+])
+def test_structure_constant_labels_must_name_elements(capsys, tmp_path, basis, message):
+    # Over Z_3, basis ["1", "2"] labels both 2*1 and 1*b_1 as "2".
+    blob = {"p": 3, "rank": 2, "basis": basis,
+            "mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "ideals", f"sc:{path}")
+    assert code == 2 and out == ""
+    assert one_line_error(err) and message in err, err
 
 
 def test_table_file_with_zero_elsewhere_loads(capsys, tmp_path):

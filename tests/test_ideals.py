@@ -1,9 +1,13 @@
 import math
+from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annigraph import ideals
 from annigraph.classify import classify
+from annigraph.graphs import build_ag
 from annigraph.ideals import (
     all_ideals,
     annihilating_ideals,
@@ -19,6 +23,7 @@ from annigraph.rings import (
     make_structure_constants,
     make_zn,
 )
+from annigraph.specs import catalog_names, parse_ring_spec
 
 from conftest import (
     brute_annihilator,
@@ -86,6 +91,79 @@ def test_lattice_cap(monkeypatch):
     monkeypatch.setattr("annigraph.ideals.LATTICE_CAP", 3)
     with pytest.raises(RingError, match="cap"):
         all_ideals(make_zn(12))
+
+
+def test_lattice_cap_names_the_ring_before_any_tuple(monkeypatch):
+    # Z2^3 has 8 ideals; the cap trips on the third factor, and the error
+    # names the product, not the factor.
+    monkeypatch.setattr("annigraph.ideals.LATTICE_CAP", 5)
+    ring = reduce(make_product, [make_zn(2)] * 3)
+    with mock.patch.object(ideals, "_preimages", wraps=ideals._preimages) as spy:
+        with pytest.raises(RingError, match=ring.fingerprint[:12]):
+            all_ideals(ring)
+    assert spy.call_count == 2
+
+
+# Factors for the factor-path tests: Z_n up to 64, the catalog rings and
+# the chain rings Z_p[x]/(x^k) of the benchmark corpus.
+_FACTOR_SPECS = (
+    [f"zn:{n}" for n in range(2, 65)]
+    + [f"cat:{name}" for name in catalog_names() if "<" not in name]
+    + ["polyq:2:0,0,0,0,1", "polyq:2:0,0,0,0,0,1", "polyq:3:0,0,0,1", "polyq:5:0,0,1"]
+)
+_FACTORS = {spec: parse_ring_spec(spec).build() for spec in _FACTOR_SPECS}
+_LOCAL_SPECS = [spec for spec, ring in _FACTORS.items()
+                if len(ideals._primitive_idempotents(ring)) == 1]
+
+
+def _is_prime_power(n):
+    p = next(p for p in range(2, n + 1) if n % p == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def test_local_factor_specs_are_the_local_rings():
+    # Z_n is local exactly when n is a prime power; the catalog and chain
+    # rings are all local.
+    prime_powers = [f"zn:{n}" for n in range(2, 65) if _is_prime_power(n)]
+    assert _LOCAL_SPECS == prime_powers + [s for s in _FACTOR_SPECS
+                                           if not s.startswith("zn:")]
+
+
+@pytest.mark.parametrize("spec", _LOCAL_SPECS)
+def test_local_ring_takes_the_closure(spec):
+    ring = _FACTORS[spec]
+    with mock.patch.object(ideals, "_closure", wraps=ideals._closure) as spy:
+        lattice = all_ideals(ring)
+    assert [call.args for call in spy.call_args_list] == [(ring, ring)]
+    assert lattice.ideals == ideals._closure(ring, ring)[0].ideals
+
+
+@st.composite
+def _products(draw):
+    """The product of 2-4 drawn factors, of at most 256 elements."""
+    k = draw(st.integers(2, 4))
+    budget, rings = 256, []
+    for left in range(k - 1, -1, -1):
+        fits = [s for s in _FACTOR_SPECS if _FACTORS[s].size * 2 ** left <= budget]
+        ring = _FACTORS[draw(st.sampled_from(fits))]
+        rings.append(ring)
+        budget //= ring.size
+    return reduce(make_product, rings)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_products())
+def test_factor_path_matches_closure(ring):
+    with mock.patch.object(ideals, "_closure", wraps=ideals._closure) as spy:
+        lattice = all_ideals(ring)
+    assert spy.call_count >= 2
+    assert all(call.args[0].size < ring.size for call in spy.call_args_list)
+    oracle = ideals._closure(ring, ring)[0]
+    assert lattice.ideals == oracle.ideals
+    assert list(lattice.principals.items()) == list(oracle.principals.items())
+    assert build_ag(ring, lattice) == build_ag(ring, oracle)
 
 
 def _principal(lattice, x):
