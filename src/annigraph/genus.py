@@ -10,11 +10,17 @@ if both corners lie on the same face the face splits (genus unchanged), and
 if they lie on different faces the faces merge (genus grows by one).  Corner
 choices enumerate each rotation system exactly once, cyclic symmetry
 included, so exhausting the search at merge budget g-1 proves genus >= g.
-The driver deletes degree-0/1 vertices, suppresses degree-2 vertices, splits
-into connected components (genus adds over components), and runs iterative
-deepening on the merge budget starting from the Euler bound.  Where that
-bound is 0, the LR planarity test runs first: it either yields a planar
-embedding, so no search is needed, or proves genus >= 1.
+Mirror images are searched only once: up to the first edge at which an
+endpoint already has two darts, every vertex has at most two, so the partial
+embedding is its own mirror image, and the two corners of that endpoint root
+subtrees that mirror each other at equal genus; only the first is tried.
+`genus_exact` deletes degree-0/1 vertices, suppresses a degree-2 vertex whose
+neighbors are not adjacent and deletes one whose neighbors are (the
+triangle rule), splits into connected components (genus adds over
+components), and runs iterative deepening on the merge budget starting from
+the Euler bound.  Where that bound is 0, the LR planarity test runs first:
+it either yields a planar embedding, so no search is needed, or proves
+genus >= 1.
 """
 
 from __future__ import annotations
@@ -176,6 +182,9 @@ def verify_embedding(g: SimpleGraph, rotation) -> int:
 
 
 class _Budget:
+    """Nodes spent so far and the limits on them; ``_EmbeddingSearch.run``
+    counts the nodes and raises ``BudgetExceeded`` at ``limit + 1``."""
+
     __slots__ = ("limit", "deadline", "nodes")
 
     def __init__(self, node_limit, time_ms):
@@ -183,20 +192,16 @@ class _Budget:
         self.deadline = None if time_ms is None else time.monotonic() + time_ms / 1000.0
         self.nodes = 0
 
-    def spend(self):
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            raise BudgetExceeded
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise BudgetExceeded
-
 
 def _reduce(adj: dict[int, set[int]]):
     """Genus-preserving reductions, recorded for witness reconstruction.
 
-    Removes isolated and pendant vertices, and suppresses a degree-2 vertex
-    whenever its two neighbors are distinct and not already adjacent.
+    Removes isolated and pendant vertices.  A degree-2 vertex v with
+    neighbors a and b is suppressed into an edge ab when a and b are not
+    adjacent, and deleted when they are (the triangle rule): genus is
+    monotone under subgraphs, and the path a-v-b fits beside the edge ab
+    inside one of its faces, so gamma(G) = gamma(G - v).  What is left has
+    minimum degree 3.
     """
     adj = {v: set(s) for v, s in adj.items()}
     records = []
@@ -220,15 +225,14 @@ def _reduce(adj: dict[int, set[int]]):
         for v in sorted(adj):
             if len(adj[v]) == 2:
                 a, b = sorted(adj[v])
-                if b not in adj[a]:
-                    records.append(("suppress", v, a, b))
-                    adj[a].discard(v)
-                    adj[b].discard(v)
-                    del adj[v]
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    changed = True
-                    break
+                records.append(("triangle" if b in adj[a] else "suppress", v, a, b))
+                adj[a].discard(v)
+                adj[b].discard(v)
+                del adj[v]
+                adj[a].add(b)
+                adj[b].add(a)
+                changed = True
+                break
     return adj, records
 
 
@@ -238,6 +242,13 @@ def _restore_rotation(rot: dict[int, list[int]], records) -> dict[int, list[int]
             _, v, p = rec
             rot.setdefault(p, []).append(v)
             rot[v] = [p]
+        elif rec[0] == "triangle":
+            # v after b at a and before a at b: the face b, a, v closes a
+            # triangle, and the face that ran b -> a now runs b -> v -> a.
+            _, v, a, b = rec
+            rot[a].insert(rot[a].index(b) + 1, v)
+            rot[b].insert(rot[b].index(a), v)
+            rot[v] = [a, b]
         else:
             _, v, a, b = rec
             rot[a][rot[a].index(b)] = v
@@ -276,10 +287,17 @@ class _EmbeddingSearch:
     The stack holds one generator per placed edge, so the depth is bounded
     by memory, not by the interpreter's recursion limit.  A level's
     generator applies its next candidate move, yields, and undoes the move
-    when it is resumed; each candidate tried costs one node.  Face ids are
-    only compared for equality: a component's opening edge and a split use
-    the number of the new dart as the fresh id, which no other live face
+    when it is resumed; ``run`` counts one node per move yielded.  Face ids
+    are only compared for equality: a component's opening edge and a split
+    use the number of the new dart as the fresh id, which no other live face
     can hold.
+
+    The mirror rule: ``mirror`` is the first edge at which an endpoint
+    already has two darts, fixed by the edge order alone.  Before it every
+    vertex has at most two darts, so the partial rotation equals its mirror
+    image, and the two corners of that endpoint root mirror-image subtrees
+    of equal genus.  At that edge only the corner after its first dart is
+    tried, which about halves an exhausted rung.
     """
 
     def __init__(self, vert_ids, edges, budget):
@@ -296,6 +314,16 @@ class _EmbeddingSearch:
         self.budget = budget
         self.genus_used = 0
         self.target = 0
+        # The mirror edge: the first edge with an endpoint that already has
+        # two darts, and which endpoint (0 for u, 1 for v); (-1, 0) if none.
+        self.mirror = (-1, 0)
+        darts = [0] * len(self.ids)
+        for ei, (u, v) in enumerate(self.edges):
+            if darts[u] == 2 or darts[v] == 2:
+                self.mirror = (ei, int(darts[u] != 2))
+                break
+            darts[u] += 1
+            darts[v] += 1
 
     def run(self, target):
         self.target = float("inf") if target is None else target
@@ -303,15 +331,28 @@ class _EmbeddingSearch:
         for lst in self.darts_at:
             lst.clear()
         depth = len(self.edges)
+        budget = self.budget
+        limit = float("inf") if budget.limit is None else budget.limit
+        deadline = budget.deadline
+        nodes = budget.nodes
         stack = [self._moves(0)]
-        while stack:
-            if next(stack[-1], False):
-                if len(stack) == depth:
-                    return self._extract(), self.genus_used
-                stack.append(self._moves(len(stack)))
-            else:
-                stack.pop()
-        return None, None
+        try:
+            while stack:
+                if next(stack[-1], False):
+                    nodes += 1
+                    if nodes > limit:
+                        raise BudgetExceeded
+                    if (deadline is not None and not nodes % 256
+                            and time.monotonic() > deadline):
+                        raise BudgetExceeded
+                    if len(stack) == depth:
+                        return self._extract(), self.genus_used
+                    stack.append(self._moves(len(stack)))
+                else:
+                    stack.pop()
+            return None, None
+        finally:
+            budget.nodes = nodes
 
     def _extract(self):
         rot = {}
@@ -349,11 +390,18 @@ class _EmbeddingSearch:
         face = self.face
         du = self.darts_at[u]
         dv = self.darts_at[v]
-        spend = self.budget.spend
+        # Corners to try: at the mirror edge, only the first one of the
+        # endpoint that has two darts.
+        xs = du
+        ys = dv
+        if ei == self.mirror[0]:
+            if self.mirror[1]:
+                ys = dv[:1]
+            else:
+                xs = du[:1]
 
         if not du and not dv:
             # Opening edge of a component: a two-sided single face.
-            spend()
             rot[a] = a
             rot[b] = b
             face[a] = face[b] = a
@@ -367,8 +415,7 @@ class _EmbeddingSearch:
         if not dv:
             # Pendant insertion: v is new; the chosen corner's face absorbs
             # both darts, so the face count is unchanged.
-            for x in du:
-                spend()
+            for x in xs:
                 sx = rot[x]
                 rot[x] = a
                 rot[a] = sx
@@ -387,12 +434,11 @@ class _EmbeddingSearch:
         # cross-face pair merges two faces (genus + 1).  The darts at v are
         # grouped by face once; pairs are formed only when tried.
         by_face = {}
-        for y in dv:
+        for y in ys:
             by_face.setdefault(face[y ^ 1], []).append(y)
-        for x in du:
+        for x in xs:
             fx = face[x ^ 1]
             for y in by_face.get(fx, ()):
-                spend()
                 sx = rot[x]
                 sy = rot[y]
                 rot[x] = a
@@ -423,13 +469,12 @@ class _EmbeddingSearch:
 
         if self.genus_used >= self.target:
             return
-        for x in du:
+        for x in xs:
             fx = face[x ^ 1]
-            for y in dv:
+            for y in ys:
                 fy = face[y ^ 1]
                 if fy == fx:
                     continue
-                spend()
                 sx = rot[x]
                 sy = rot[y]
                 rot[x] = a

@@ -219,6 +219,43 @@ def test_reductions_preserve_genus_and_witness():
     assert res.witness == ((), ())
 
 
+def with_ears(g, ears):
+    """``g`` plus one new vertex per ear, joined to both ends of the edge
+    (u, v).  An end -k names the k-th ear vertex, so ears can stack."""
+    n = g.n_vertices
+    verts = list(g.vertices) + [f"e{k}" for k in range(len(ears))]
+    edges = list(g.edges)
+    for k, ends in enumerate(ears):
+        edges.extend((x if x >= 0 else n - x - 1, n + k) for x in ends)
+    return simple_graph(verts, edges)
+
+
+@pytest.mark.parametrize("base,genus_of_base", [
+    (complete_graph(4), 0), (complete_graph(5), 1), (complete_bipartite(3, 3), 1),
+], ids=["K4", "K5", "K3,3"])
+@pytest.mark.parametrize("ears", [
+    lambda p, q, r, s: [(p, q)],
+    lambda p, q, r, s: [(p, q), (r, s)],
+    lambda p, q, r, s: [(p, q), (p, q)],
+    lambda p, q, r, s: [(p, q), (p, -1), (-1, -2)],
+    lambda p, q, r, s: [(p, q), (q, -1), (-1, -2), (-2, -3), (r, s)],
+], ids=["one", "two-edges", "same-edge", "stacked", "stacked-deep"])
+def test_triangle_rule_deletes_ears(base, genus_of_base, ears):
+    # Ears sit on the first and last edges of the base and on earlier ears;
+    # the triangle rule deletes them all, so the search runs on the base.
+    (p, q), (r, s) = base.edges[0], base.edges[-1]
+    g = with_ears(base, ears(p, q, r, s))
+    reduced, records = genus._reduce(dict(enumerate(g.adjacency)))
+    assert sorted(reduced) == list(range(base.n_vertices))
+    assert "triangle" in [rec[0] for rec in records]
+    res = genus_exact(g)
+    assert res.exact and res.upper == genus_of_base
+    assert res.nodes == genus_exact(base).nodes
+    assert verify_embedding(g, res.witness) == res.upper
+    if rotation_count(g) <= 30_000:  # all K4 and K3,3 cases but the deepest stack
+        assert res.upper == brute_force_genus(g)
+
+
 def test_determinism():
     g = complete_graph(7)
     first = genus_exact(g)
@@ -239,6 +276,30 @@ def test_budget_exhaustion_reports_bounds():
     assert res.lower <= 2
     if res.upper is not None:
         assert res.lower <= res.upper
+
+
+def test_budget_cut_in_second_component_counts_limit_plus_one():
+    # K5 is solved inside the budget; K8 (8,913 nodes alone) is cut.  The
+    # nodes of both components land in one count, which stops at limit + 1.
+    k5_nodes = genus_exact(complete_graph(5)).nodes
+    assert k5_nodes > 0
+    union = disjoint_union(complete_graph(5), complete_graph(8))
+    budget = k5_nodes + 500
+    res = genus_exact(union, node_budget=budget)
+    assert res.status == "budget_exhausted"
+    assert res.nodes == budget + 1
+    assert res.lower >= 1 + 2
+    planar = disjoint_union(complete_graph(4), hypercube(3))
+    res = genus_exact(planar, node_budget=0)
+    assert res.exact and res.upper == 0 and res.nodes == 0
+
+
+def test_time_budget_cuts_at_the_first_clock_read():
+    # The clock is read every 256 nodes; a deadline already passed stops the
+    # search there.
+    res = genus_exact(complete_graph(9), node_budget=None, time_budget_ms=0)
+    assert res.status == "budget_exhausted"
+    assert res.nodes == 256
 
 
 def test_random_component_additivity():
@@ -274,6 +335,75 @@ def test_search_order_node_counts_are_pinned(graph, nodes):
     assert verify_embedding(g, res.witness) == res.upper
 
 
+def desargues_graph():
+    # The generalized Petersen graph GP(10, 3): 20 vertices, genus 2.
+    return simple_graph(
+        [str(i) for i in range(20)],
+        [(i, (i + 1) % 10) for i in range(10)]
+        + [(i, i + 10) for i in range(10)]
+        + [(10 + i, 10 + (i + 3) % 10) for i in range(10)],
+    )
+
+
+def test_mirror_rule_node_count_on_exhausted_rung():
+    # Euler bound 0 and non-planar, so the search starts at rung 1 and must
+    # exhaust it to prove genus 2; trying one mirror corner about halves it.
+    g = desargues_graph()
+    assert euler_lower_bound(g) == 0 and not is_planar(g)
+    res = genus_exact(g)
+    assert res.exact and res.upper == 2
+    assert res.nodes == 2_424  # 4,678 without the mirror rule
+    assert verify_embedding(g, res.witness) == 2
+
+
+def shuffled(rng, g):
+    perm = rng.sample(range(g.n_vertices), g.n_vertices)
+    return simple_graph([str(v) for v in range(g.n_vertices)],
+                        [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def small_graph(rng):
+    """A random graph, K5 minus up to two edges, or K3,3 plus up to two
+    edges inside its parts, under a random labelling."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_graph(rng, rng.randint(4, 7), rng.choice([0.5, 0.7, 0.9]))
+    if kind == 1:
+        edges = list(complete_graph(5).edges)
+        for _ in range(rng.randint(0, 2)):
+            edges.remove(rng.choice(edges))
+        return shuffled(rng, simple_graph("abcde", edges))
+    inner = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    edges = list(complete_bipartite(3, 3).edges) + rng.sample(inner, rng.randint(0, 2))
+    return shuffled(rng, simple_graph("abcdef", edges))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mirror_rule_agrees_with_brute_force(seed):
+    # Half of the graphs are disjoint unions.  Both `genus_exact` and
+    # the single whole-graph search must match the brute force; the latter
+    # has no reductions and no planarity rung, so every one of its rungs
+    # runs through the mirror edge.
+    rng = random.Random(seed)
+    checked = nonplanar = 0
+    while checked < 12:
+        g = small_graph(rng)
+        if rng.random() < 0.5:
+            g = disjoint_union(g, random_graph(rng, rng.randint(3, 4), 0.7))
+        if rotation_count(g) > 20_000:
+            continue
+        expected = brute_force_genus(g)
+        res = genus_exact(g)
+        whole = genus_exact_whole(g)
+        assert res.exact and res.upper == expected
+        assert whole.upper == expected
+        assert verify_embedding(g, res.witness) == expected
+        assert verify_embedding(g, whole.witness) == expected
+        checked += 1
+        nonplanar += expected > 0
+    assert nonplanar >= 3
+
+
 def test_planarity_rung_proves_genus_at_least_one():
     # Euler bound 0, non-planar: the LR test alone lifts the lower bound.
     petersen = petersen_graph()
@@ -297,7 +427,15 @@ def test_planarity_rung_skips_rung_zero_on_ag():
     g = ag_of("prod:(zn:3,cat:f2xy_x2y2)")
     res = genus_exact(g)
     assert res.exact and res.upper == 1
-    assert res.nodes <= 7_422
+    assert res.nodes <= 36
+    assert verify_embedding(g, res.witness) == 1
+
+
+def test_triangle_rule_solves_ag_within_a_small_budget():
+    # Without the triangle rule this AG ended [1, 4] after 200,001 nodes.
+    g = ag_of("prod:(zn:2,cat:f3xy_x2y2)")
+    res = genus_exact(g, node_budget=100)
+    assert res.exact and res.upper == 1
     assert verify_embedding(g, res.witness) == 1
 
 
