@@ -147,22 +147,20 @@ def verify_embedding(g: SimpleGraph, rotation) -> int:
             raise EmbeddingError(f"rotation at vertex {v} does not match its neighbors")
         pos.append({u: k for k, u in enumerate(cyc)})
 
-    unseen = set()
-    for u, v in g.edges:
-        unseen.add((u, v))
-        unseen.add((v, u))
-    faces_in = {v: 0 for v in range(n)}
-    while unseen:
-        d = min(unseen)
-        start = d
-        while True:
-            unseen.discard(d)
+    # Each face starts at its least dart: sweep the sorted darts and trace
+    # a face from every dart that no earlier face went through.
+    traced = set()
+    faces_in = [0] * n
+    for start in sorted(d for u, v in g.edges for d in ((u, v), (v, u))):
+        if start in traced:
+            continue
+        faces_in[start[0]] += 1
+        d = start
+        while d not in traced:
+            traced.add(d)
             u, v = d
             cyc = rotation[v]
             d = (v, cyc[(pos[v][u] + 1) % len(cyc)])
-            if d == start:
-                break
-        faces_in[start[0]] += 1
 
     total = 0
     for comp in _components(adj):
@@ -202,37 +200,33 @@ def _reduce(adj: dict[int, set[int]]):
     monotone under subgraphs, and the path a-v-b fits beside the edge ab
     inside one of its faces, so gamma(G) = gamma(G - v).  What is left has
     minimum degree 3.
+
+    One worklist pass: a stack starts with the vertices of degree at most
+    2, a popped vertex is skipped if it is gone or has degree 3 or more,
+    and the neighbors of each removed vertex, the only degrees a removal
+    changes, are pushed.  Every removal is "delete v, then join its
+    neighbors if it had two": it never raises a degree, so a vertex stays
+    removable once it is, and two removals give the same graph in either
+    order.  Every order therefore ends at the same reduced graph.
     """
     adj = {v: set(s) for v, s in adj.items()}
     records = []
-    changed = True
-    while changed:
-        changed = False
-        shrinking = True
-        while shrinking:
-            shrinking = False
-            for v in sorted(adj):
-                deg = len(adj[v])
-                if deg == 0:
-                    del adj[v]
-                    shrinking = True
-                elif deg == 1:
-                    (p,) = adj[v]
-                    records.append(("leaf", v, p))
-                    adj[p].discard(v)
-                    del adj[v]
-                    shrinking = True
-        for v in sorted(adj):
-            if len(adj[v]) == 2:
-                a, b = sorted(adj[v])
-                records.append(("triangle" if b in adj[a] else "suppress", v, a, b))
-                adj[a].discard(v)
-                adj[b].discard(v)
-                del adj[v]
-                adj[a].add(b)
-                adj[b].add(a)
-                changed = True
-                break
+    stack = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
+    while stack:
+        v = stack.pop()
+        if v not in adj or len(adj[v]) > 2:
+            continue
+        nbrs = sorted(adj.pop(v))
+        for u in nbrs:
+            adj[u].discard(v)
+        if len(nbrs) == 1:
+            records.append(("leaf", v, nbrs[0]))
+        elif len(nbrs) == 2:
+            a, b = nbrs
+            records.append(("triangle" if b in adj[a] else "suppress", v, a, b))
+            adj[a].add(b)
+            adj[b].add(a)
+        stack.extend(nbrs)
     return adj, records
 
 
@@ -242,18 +236,17 @@ def _restore_rotation(rot: dict[int, list[int]], records) -> dict[int, list[int]
             _, v, p = rec
             rot.setdefault(p, []).append(v)
             rot[v] = [p]
-        elif rec[0] == "triangle":
-            # v after b at a and before a at b: the face b, a, v closes a
-            # triangle, and the face that ran b -> a now runs b -> v -> a.
-            _, v, a, b = rec
-            rot[a].insert(rot[a].index(b) + 1, v)
-            rot[b].insert(rot[b].index(a), v)
-            rot[v] = [a, b]
-        else:
-            _, v, a, b = rec
-            rot[a][rot[a].index(b)] = v
-            rot[b][rot[b].index(a)] = v
-            rot[v] = [a, b]
+            continue
+        # v after b at a and before a at b: the face b, a, v closes a
+        # triangle, and the face that ran b -> a now runs b -> v -> a.  A
+        # suppressed v then drops the edge ab, which leaves v in its place.
+        kind, v, a, b = rec
+        rot[a].insert(rot[a].index(b) + 1, v)
+        rot[b].insert(rot[b].index(a), v)
+        rot[v] = [a, b]
+        if kind == "suppress":
+            rot[a].remove(b)
+            rot[b].remove(a)
     return rot
 
 

@@ -176,6 +176,19 @@ def _prime_power(q: int):
     return (q, 1)
 
 
+def _check_algebra_size(p: int, k: int, what: str) -> None:
+    """Reject an algebra of p^k elements over Z_p that is above the size cap
+    or whose modulus p is not prime.  The cap comes first and never forms p^k
+    for a large k (p^k >= 2^k), so a huge modulus or rank is refused at once,
+    before trial division or any work sized by k."""
+    if p < 2:
+        raise RingError(f"modulus {p} is not prime")
+    if k >= MAX_RING_SIZE.bit_length() or p**k > MAX_RING_SIZE:
+        raise RingError(f"{what} size {p}^{k} exceeds the cap of {MAX_RING_SIZE}")
+    if _prime_power(p) != (p, 1):
+        raise RingError(f"modulus {p} is not prime")
+
+
 def make_zn(n: int) -> FiniteRing:
     """The ring of integers modulo ``n`` (n >= 2)."""
     if n < 2:
@@ -257,8 +270,7 @@ def make_structure_constants(modulus, rank, basis_labels, mult_table) -> FiniteR
     associativity on the basis; a violation is reported with a witness.
     """
     p, k = modulus, rank
-    if _prime_power(p) != (p, 1):
-        raise RingError(f"modulus {p} is not prime")
+    _check_algebra_size(p, k, "algebra")
     if k < 1:
         raise RingError("rank must be at least 1")
     if basis_labels is None:
@@ -273,8 +285,6 @@ def make_structure_constants(modulus, rank, basis_labels, mult_table) -> FiniteR
     if consts.shape != (k, k, k) or consts.dtype.kind not in "iu":
         raise RingError("multiplication table must be rank x rank integer "
                         "vectors of length rank")
-    if p**k > MAX_RING_SIZE:
-        raise RingError(f"algebra size {p**k} exceeds the cap of {MAX_RING_SIZE}")
     consts = consts.astype(np.int64) % p
 
     basis = np.eye(k, dtype=np.int64)
@@ -312,18 +322,15 @@ def make_poly_quotient(p: int, f) -> FiniteRing:
     Realizes prime fields' extensions and truncated polynomial rings such as
     F_4 = Z_2[x]/(x^2+x+1) or Z_3[x]/(x^2).
     """
-    if _prime_power(p) != (p, 1):
-        raise RingError(f"modulus {p} is not prime")
+    d = len(f) - 1
+    _check_algebra_size(p, d, "quotient")
     f = [int(c) % p for c in f]
     if len(f) > 1 and f[-1] == 0:
         raise RingError("polynomial is not monic (leading coefficient 0)")
-    d = len(f) - 1
     if d < 1:
         raise RingError("quotient polynomial must have degree at least 1")
     if f[-1] != 1:
         raise RingError("quotient polynomial must be monic")
-    if p**d > MAX_RING_SIZE:
-        raise RingError(f"quotient size {p**d} exceeds the cap of {MAX_RING_SIZE}")
 
     # powers[e] = x^e mod f for e = 0..2d-2, the degrees basis products reach.
     powers = [[1] + [0] * (d - 1)]

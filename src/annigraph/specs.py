@@ -27,6 +27,7 @@ import numpy as np
 
 from .graphs import complete_bipartite, complete_graph
 from .rings import (
+    MAX_RING_SIZE,
     FiniteRing,
     RingError,
     make_poly_quotient,
@@ -100,6 +101,11 @@ _CATALOG_RINGS = {
 _GRAPH_COMPLETE = re.compile(r"^k(\d+)$")
 _GRAPH_BIPARTITE = re.compile(r"^km:(\d+):(\d+)$")
 
+# A product nested n levels deep has at least n + 1 factors of two or more
+# elements, so at 12 levels it exceeds MAX_RING_SIZE (2^13 > 4096).  The
+# parser refuses such nesting before its recursion can run out of stack.
+_PROD_LEVELS_OVER_CAP = MAX_RING_SIZE.bit_length() - 1
+
 
 def catalog_names() -> list[str]:
     return sorted(_CATALOG_RINGS) + ["k<n>", "km:<m>:<n>"]
@@ -150,7 +156,7 @@ def _parse_path(s: str, i: int) -> tuple[str, int]:
     return s[i:j], j
 
 
-def _parse_spec(s: str, i: int) -> tuple[RingSpec, int]:
+def _parse_spec(s: str, i: int, depth: int = 0) -> tuple[RingSpec, int]:
     for prefix in ("zn:", "gf:", "polyq:", "prod:(", "sc:", "table:", "cat:"):
         if s.startswith(prefix, i):
             break
@@ -169,10 +175,14 @@ def _parse_spec(s: str, i: int) -> tuple[RingSpec, int]:
         coeffs, i = _parse_coeffs(s, i + 1)
         return RingSpec(s[start:i], prefix[:-1], (p, coeffs)), i
     if prefix == "prod:(":
-        left, i = _parse_spec(s, i)
+        if depth + 1 == _PROD_LEVELS_OVER_CAP:
+            raise SpecParseError(
+                f"products nested {_PROD_LEVELS_OVER_CAP} deep exceed the ring "
+                f"size cap of {MAX_RING_SIZE}", start)
+        left, i = _parse_spec(s, i, depth + 1)
         if i >= len(s) or s[i] != ",":
             raise SpecParseError("expected ',' between product factors", i)
-        right, i = _parse_spec(s, i + 1)
+        right, i = _parse_spec(s, i + 1, depth + 1)
         if i >= len(s) or s[i] != ")":
             raise SpecParseError("expected ')' closing the product", i)
         i += 1

@@ -52,6 +52,17 @@ def test_parse_errors_cite_position():
         parse_ring_spec("prod:(zn:2;zn:3)")
 
 
+def test_deep_product_nesting_is_a_parse_error(capsys):
+    # Twelve nested products have at least 2^13 elements, over the cap; the
+    # parser refuses them at the twelfth "prod:(" instead of recursing on.
+    deep = "prod:(zn:2," * 1500 + "zn:2" + ")" * 1500
+    code, out, err = run(capsys, "info", deep)
+    assert code == 2 and out == "" and one_line_error(err), err
+    assert f"position {11 * len('prod:(zn:2,')}" in err
+    eleven = "prod:(zn:2," * 11 + "zn:2" + ")" * 11
+    assert parse_ring_spec(eleven).args[0].text == "zn:2"
+
+
 def test_parse_round_trip():
     for text in ("zn:12", "prod:(zn:2,zn:3)", "gf:2:1,1,1", "cat:k5"):
         spec = parse_ring_spec(text)
@@ -212,7 +223,7 @@ def test_sc_file_loader(capsys, tmp_path):
     assert payload["socle_dim"] == 2 and payload["is_gorenstein"] is False
 
 
-def test_invalid_input_exit_code(capsys):
+def test_invalid_input_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "info", "zn:1")
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "genus", "table:/no/such/file.json")
@@ -225,6 +236,22 @@ def test_invalid_input_exit_code(capsys):
     for spec in ("cat:k0", "cat:km:0:3", "cat:k2000", "cat:km:2000:2000"):
         code, out, err = run(capsys, "genus", spec)
         assert code == 2 and out == "" and one_line_error(err), err
+    # A huge prime modulus or rank is over the size cap, refused before any
+    # trial division or work sized by the rank; p = 0 and p = 1 are not prime.
+    big = 10**24 + 7
+    unit = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+    sc_files = []
+    for n, (p, rank, mul) in enumerate([(big, 2, unit), (2, 10**9, []),
+                                        (0, 2, unit), (1, 2, unit)]):
+        path = tmp_path / f"sc{n}.json"
+        path.write_text(json.dumps({"p": p, "rank": rank, "mul": mul}))
+        sc_files.append(f"sc:{path}")
+    for spec, reason in [(f"polyq:{big}:0,1", "cap"), (f"gf:{big}:0,1", "cap"),
+                         ("polyq:0:0,1", "not prime"), ("gf:1:0,1", "not prime"),
+                         (sc_files[0], "cap"), (sc_files[1], "cap"),
+                         (sc_files[2], "not prime"), (sc_files[3], "not prime")]:
+        code, out, err = run(capsys, "info", spec)
+        assert code == 2 and out == "" and one_line_error(err) and reason in err, err
     # A node budget that is not an integer >= 0 is a usage error, from argparse.
     for argv in (("genus", "cat:k5"), ("verify", "zn:8")):
         for budget in ("-5", "-1", "five"):

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from annigraph import genus
 from annigraph.genus import (
@@ -491,3 +491,61 @@ def test_connected_edge_order_contract(data):
     assert all(pos[u] < pos[w] for u, w in edges)
     rest = [(pos[w], pos[u]) for u, w in edges[n - 1:]]
     assert rest == sorted(rest)
+
+
+@st.composite
+def graphs_with_reductions(draw):
+    """K5, K3,3 or a random graph on up to six vertices, grown by
+    subdivisions, ears (paths between two vertices), pendant trees and
+    isolated vertices, under a random labelling."""
+    base = draw(st.sampled_from(["K5", "K3,3", "random"]))
+    if base == "random":
+        n = draw(st.integers(1, 6))
+        edges = {(a, b) for a in range(n) for b in range(a + 1, n) if draw(st.booleans())}
+    else:
+        g = complete_graph(5) if base == "K5" else complete_bipartite(3, 3)
+        n, edges = g.n_vertices, set(g.edges)
+    for _ in range(draw(st.integers(0, 8))):
+        op = draw(st.sampled_from(["subdivide", "ear", "tree", "isolated"]))
+        if op == "subdivide" and edges:
+            u, v = draw(st.sampled_from(sorted(edges)))
+            edges -= {(u, v)}
+            edges |= {(u, n), (v, n)}
+            n += 1
+        elif op == "ear" and n >= 2:
+            u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                 unique=True))
+            path = [u] + list(range(n, n + draw(st.integers(1, 3)))) + [v]
+            edges |= set(zip(path, path[1:]))
+            n = max(path[1:-1]) + 1
+        elif op == "tree":
+            for _ in range(draw(st.integers(1, 3))):
+                edges.add((draw(st.integers(0, n - 1)), n))
+                n += 1
+        else:
+            n += 1
+    perm = draw(st.permutations(range(n)))
+    g = simple_graph([str(v) for v in range(n)], [(perm[u], perm[v]) for u, v in edges])
+    # The whole-graph oracle exhausts rung 0 with no reductions; keep it small.
+    assume(rotation_count(g) <= 20_000)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_reductions(), st.randoms(use_true_random=False))
+def test_reduce_is_minimal_and_commutes_with_relabelling(g, rng):
+    adj = dict(enumerate(g.adjacency))
+    reduced, _ = genus._reduce(adj)
+    assert all(len(nbrs) >= 3 for nbrs in reduced.values())
+    # Relabel by pi, reduce, and map back: the reduced graph is the same, so
+    # it does not depend on the order in which vertices are removed.
+    pi = rng.sample(range(g.n_vertices), g.n_vertices)
+    inverse = {p: v for v, p in enumerate(pi)}
+    relabelled, _ = genus._reduce({pi[v]: {pi[w] for w in nbrs} for v, nbrs in adj.items()})
+    assert {inverse[v]: {inverse[w] for w in nbrs}
+            for v, nbrs in relabelled.items()} == reduced
+
+    res = genus_exact(g)
+    expected = genus_exact_whole(g).upper if g.n_edges else 0  # the oracle needs an edge
+    assert res.exact and res.upper == expected
+    assert verify_embedding(g, res.witness) == expected
