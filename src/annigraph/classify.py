@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ideals import IdealLattice, members, name_ideal, sub_ideals
+from .ideals import IdealLattice, members, name_ideal
 from .rings import FiniteRing, RingError, _prime_power
 
 
@@ -59,10 +59,12 @@ class RingClassification:
 
 def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
     """Full classification from a complete lattice."""
-    proper = lattice.ideals[:-1]
-    maximal = tuple(
-        i for i in proper if not any(i != j and i & ~j == 0 for j in proper)
-    )
+    # Largest first: a proper ideal that is not maximal lies in a strictly
+    # larger maximal ideal, which the scan has already kept.
+    maximal = ()
+    for i in reversed(lattice.ideals[:-1]):
+        if all(i & ~j for j in maximal):
+            maximal = (i, *maximal)
     count = len(lattice)
     if len(maximal) != 1:
         return RingClassification(
@@ -121,7 +123,10 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
 def unique_minimal_ideal(lattice: IdealLattice) -> int | None:
     """The unique minimal nonzero proper ideal, or None if there are zero or
     several.  Fields have no nonzero proper ideals, so they return None."""
-    minimal = [i for i in lattice.ideals[1:-1] if len(sub_ideals(i, lattice)) == 2]
+    minimal = []
+    for i in lattice.ideals[1:-1]:  # smallest first, the mirror of classify
+        if all(j & ~i for j in minimal):
+            minimal.append(i)
     return minimal[0] if len(minimal) == 1 else None
 
 

@@ -98,8 +98,8 @@ _CATALOG_RINGS = {
         2, 3, ("1", "x", "y"), _sc_table_square_zero()),
 }
 
-_GRAPH_COMPLETE = re.compile(r"^k(\d+)$")
-_GRAPH_BIPARTITE = re.compile(r"^km:(\d+):(\d+)$")
+_GRAPH_COMPLETE = re.compile(r"^k([0-9]+)$")
+_GRAPH_BIPARTITE = re.compile(r"^km:([0-9]+):([0-9]+)$")
 
 # A product nested n levels deep has at least n + 1 factors of two or more
 # elements, so at 12 levels it exceeds MAX_RING_SIZE (2^13 > 4096).  The
@@ -130,7 +130,7 @@ def _catalog_build(name: str):
 
 def _parse_int(s: str, i: int) -> tuple[int, int]:
     j = i
-    while j < len(s) and s[j].isdigit():
+    while j < len(s) and "0" <= s[j] <= "9":  # ASCII; isdigit() takes "²"
         j += 1
     if j == i:
         raise SpecParseError("expected an integer", i)
@@ -141,7 +141,7 @@ def _parse_coeffs(s: str, i: int) -> tuple[tuple[int, ...], int]:
     coeffs = []
     val, i = _parse_int(s, i)
     coeffs.append(val)
-    while i < len(s) and s[i] == "," and i + 1 < len(s) and s[i + 1].isdigit():
+    while i < len(s) and s[i] == "," and i + 1 < len(s) and "0" <= s[i + 1] <= "9":
         val, i = _parse_int(s, i + 1)
         coeffs.append(val)
     return tuple(coeffs), i

@@ -257,6 +257,8 @@ def genus_exact_whole(g) -> GenusResult:
     planarity rung.  Cross-checks that ``genus_exact`` is additive over
     components.
     """
+    if not g.n_edges:
+        return GenusResult(0, 0, "exact", ((),) * g.n_vertices, nodes=0)
     budget = _Budget(None, None)
     adj = dict(enumerate(g.adjacency))
     comps = [c for c in _components(adj) if len(c) > 1]

@@ -236,6 +236,13 @@ def test_invalid_input_exit_code(capsys, tmp_path):
     for spec in ("cat:k0", "cat:km:0:3", "cat:k2000", "cat:km:2000:2000"):
         code, out, err = run(capsys, "genus", spec)
         assert code == 2 and out == "" and one_line_error(err), err
+    # Only ASCII digits are digits: superscripts pass str.isdigit but not int().
+    for spec in ("zn:²", "zn:12³", "polyq:2:0,¹", "gf:²:1,1,1"):
+        code, out, err = run(capsys, "info", spec)
+        assert code == 2 and out == "" and one_line_error(err), err
+    for spec in ("cat:k٣", "cat:km:2:٣"):  # Arabic-Indic 3, which int() reads
+        code, out, err = run(capsys, "genus", spec)
+        assert code == 2 and out == "" and one_line_error(err), err
     # A huge prime modulus or rank is over the size cap, refused before any
     # trial division or work sized by the rank; p = 0 and p = 1 are not prime.
     big = 10**24 + 7

@@ -1,11 +1,14 @@
 import functools
+import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from annigraph.graphs import (
+    SimpleGraph,
     build_ag,
     complete_bipartite,
     complete_graph,
@@ -143,6 +146,10 @@ def test_products_match_the_oracles(factors):
 def test_reference_graphs():
     assert complete_graph(4).n_edges == 6
     assert complete_bipartite(3, 3).n_edges == 9
+    # The builders emit their edges row by row, already in canonical order.
+    assert complete_graph(7).edges == tuple(itertools.combinations(range(7), 2))
+    assert complete_bipartite(3, 4).edges == tuple(
+        (i, j) for i in range(3) for j in range(3, 7))
     k11 = complete_bipartite(1, 1)
     assert k11.n_edges == 1
     assert k11.vertices == ("a0", "b0")
@@ -153,6 +160,14 @@ def test_simple_graph_validation():
         simple_graph(["a", "b"], [(0, 0)])
     g = simple_graph(["a", "b", "c"], [(2, 0), (0, 2), (1, 0)])
     assert g.edges == ((0, 1), (0, 2))
+    # SimpleGraph itself takes only strictly increasing pairs 0 <= u < v < n
+    # and names the first edge that breaks this.
+    for edges, bad in [([(0, 1), (0, 3)], "(0,3)"), ([(-1, 1)], "(-1,1)"),
+                       ([(1, 0)], "(1,0)"), ([(1, 1)], "(1,1)"),
+                       ([(0, 1), (0, 1), (0, 2)], "(0,1)"),
+                       ([(0, 2), (0, 1)], "(0,1)"), ([(1, 2), (0, 2)], "(0,2)")]:
+        with pytest.raises(ValueError, match=re.escape(f"edge {bad} breaks")):
+            SimpleGraph(("a", "b", "c"), tuple(edges))
 
 
 def test_dot_output_is_bit_exact():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annigraph import ideals
-from annigraph.classify import classify
+from annigraph.classify import classify, unique_minimal_ideal
 from annigraph.graphs import build_ag
 from annigraph.ideals import (
     all_ideals,
@@ -131,6 +131,17 @@ def test_local_factor_specs_are_the_local_rings():
                                            if not s.startswith("zn:")]
 
 
+def _assert_extremal_ideals(ring, lattice):
+    """Maximal ideals and the unique minimal one agree with the all-pairs
+    definitions."""
+    proper = lattice.ideals[:-1]
+    maximal = tuple(
+        i for i in proper if not any(i != j and i & ~j == 0 for j in proper))
+    minimal = [i for i in lattice.ideals[1:-1] if len(sub_ideals(i, lattice)) == 2]
+    assert classify(ring, lattice).maximal_ideals == maximal
+    assert unique_minimal_ideal(lattice) == (minimal[0] if len(minimal) == 1 else None)
+
+
 @pytest.mark.parametrize("spec", _LOCAL_SPECS)
 def test_local_ring_takes_the_closure(spec):
     ring = _FACTORS[spec]
@@ -138,6 +149,7 @@ def test_local_ring_takes_the_closure(spec):
         lattice = all_ideals(ring)
     assert [call.args for call in spy.call_args_list] == [(ring, ring)]
     assert lattice.ideals == ideals._closure(ring, ring)[0].ideals
+    _assert_extremal_ideals(ring, lattice)
 
 
 @st.composite
@@ -164,6 +176,8 @@ def test_factor_path_matches_closure(ring):
     assert lattice.ideals == oracle.ideals
     assert list(lattice.principals.items()) == list(oracle.principals.items())
     assert build_ag(ring, lattice) == build_ag(ring, oracle)
+    _assert_extremal_ideals(ring, lattice)
+
 
 
 def _principal(lattice, x):
