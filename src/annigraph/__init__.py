@@ -15,7 +15,6 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     simple_graph,
-    to_dot,
 )
 from .ideals import (
     IdealLattice,

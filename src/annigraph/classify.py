@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ideals import IdealLattice, members, name_ideal
+from .ideals import IdealLattice
 from .rings import FiniteRing, RingError, _prime_power
 
 
@@ -41,7 +41,6 @@ class RingClassification:
     special-case fields.
     """
 
-    ring: FiniteRing = field(repr=False)
     ideal_count: int
     maximal_ideals: tuple[int, ...]
     is_local: bool
@@ -68,7 +67,6 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
     count = len(lattice)
     if len(maximal) != 1:
         return RingClassification(
-            ring=r,
             ideal_count=count,
             maximal_ideals=maximal,
             is_local=False,
@@ -103,7 +101,6 @@ def classify(r: FiniteRing, lattice: IdealLattice) -> RingClassification:
     is_spir = set(lattice.ideals) == {*powers, lattice.unit}
 
     return RingClassification(
-        ring=r,
         ideal_count=count,
         maximal_ideals=maximal,
         is_local=True,
@@ -128,46 +125,3 @@ def unique_minimal_ideal(lattice: IdealLattice) -> int | None:
         if all(j & ~i for j in minimal):
             minimal.append(i)
     return minimal[0] if len(minimal) == 1 else None
-
-
-def classification_to_json(c: RingClassification, lattice: IdealLattice) -> dict:
-    def imembers(i):
-        return None if i is None else list(members(i))
-
-    return {
-        "ring": c.ring.fingerprint,
-        "ideal_count": c.ideal_count,
-        "maximal_ideals": [name_ideal(i, lattice) for i in c.maximal_ideals],
-        "is_local": c.is_local,
-        "is_field": c.is_field,
-        "m": imembers(c.m),
-        "t": c.t if c.is_local else None,
-        "residue_size": c.residue_size,
-        "vdim_profile": list(c.vdim_profile),
-        "socle": imembers(c.socle),
-        "socle_dim": c.socle_dim,
-        "is_gorenstein": c.is_gorenstein,
-        "is_spir": c.is_spir,
-    }
-
-
-CSV_FIELDS = (
-    "ring", "ideal_count", "n_maximal", "is_local", "is_field", "t",
-    "residue_size", "vdim_profile", "socle_dim", "is_gorenstein", "is_spir",
-)
-
-
-def classification_csv_row(c: RingClassification) -> list:
-    return [
-        c.ring.fingerprint[:12],
-        c.ideal_count,
-        len(c.maximal_ideals),
-        c.is_local,
-        c.is_field,
-        c.t if c.is_local else "",
-        c.residue_size if c.residue_size is not None else "",
-        " ".join(str(d) for d in c.vdim_profile),
-        c.socle_dim if c.socle_dim is not None else "",
-        c.is_gorenstein if c.is_gorenstein is not None else "",
-        c.is_spir if c.is_spir is not None else "",
-    ]

@@ -9,22 +9,20 @@ answer was required.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import os
 import sys
 
-from .classify import classification_to_json, classify
-from .genus import DEFAULT_NODE_BUDGET, GenusResult, genus_exact
-from .graphs import build_ag, graph_to_json, to_dot
-from .ideals import all_ideals, lattice_to_json, members, name_ideal
+from .classify import classify
+from .genus import DEFAULT_NODE_BUDGET, genus_exact
+from .graphs import SimpleGraph, build_ag
+from .ideals import all_ideals, members, name_ideal
 from .rings import FiniteRing, RingError, ring_to_json
-from .specs import (
-    SpecParseError,
-    builtin_corpus,
-    corpus_file_name,
-    parse_ring_spec,
-)
-from .verify import SUITE_SELECTORS, run_suite
+from .specs import SpecParseError, builtin_corpus, corpus_file_name, parse_ring_spec
+from .verify import SUITE_SELECTORS, SuiteReport, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -96,6 +94,17 @@ def _emit(text: str, out_path):
             fh.write(text)
 
 
+def _json(payload) -> str:
+    """Sorted keys, two-space indent; tuples print as JSON arrays."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _ring(spec_text: str) -> FiniteRing:
     """The ring a spec names; a graph spec is invalid input."""
     obj = parse_ring_spec(spec_text).build()
@@ -104,39 +113,78 @@ def _ring(spec_text: str) -> FiniteRing:
     return obj
 
 
-def _genus_text(res: GenusResult) -> str:
-    if res.exact:
-        return f"exact {res.upper}\n"
-    upper = "unknown" if res.upper is None else res.upper
-    return f"{res.status} lower={res.lower} upper={upper}\n"
+def _info_json(ring, lattice, cls) -> str:
+    def imembers(i):
+        return None if i is None else members(i)
+
+    return _json({
+        "ring": ring.fingerprint,
+        "ideal_count": cls.ideal_count,
+        "maximal_ideals": [name_ideal(i, lattice) for i in cls.maximal_ideals],
+        "is_local": cls.is_local,
+        "is_field": cls.is_field,
+        "m": imembers(cls.m),
+        "t": cls.t if cls.is_local else None,
+        "residue_size": cls.residue_size,
+        "vdim_profile": cls.vdim_profile,
+        "socle": imembers(cls.socle),
+        "socle_dim": cls.socle_dim,
+        "is_gorenstein": cls.is_gorenstein,
+        "is_spir": cls.is_spir,
+    })
 
 
-def _genus_json(res: GenusResult) -> str:
-    payload = {
-        "lower": res.lower,
-        "upper": res.upper,
-        "status": res.status,
-        "witness": None if res.witness is None else [list(row) for row in res.witness],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _info_csv(ring, cls) -> str:
+    """One header row and one data row; the local-ring columns are blank for
+    a non-local ring."""
+    local = (cls.t, cls.residue_size, " ".join(map(str, cls.vdim_profile)),
+             cls.socle_dim, cls.is_gorenstein, cls.is_spir)
+    return _csv([
+        ("ring", "ideal_count", "n_maximal", "is_local", "is_field", "t",
+         "residue_size", "vdim_profile", "socle_dim", "is_gorenstein", "is_spir"),
+        (ring.fingerprint[:12], cls.ideal_count, len(cls.maximal_ideals),
+         cls.is_local, cls.is_field, *(local if cls.is_local else ("",) * 6)),
+    ])
+
+
+def _graph_dot(g: SimpleGraph) -> str:
+    """One vertex line per label, one edge line per edge; labels are DOT
+    quoted identifiers, backslashes and double quotes escaped."""
+    ids = ['"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+           for label in g.vertices]
+    lines = ["graph AG {", *(f"  {vid};" for vid in ids),
+             *(f"  {ids[u]} -- {ids[v]};" for u, v in g.edges), "}"]
+    return "\n".join(lines) + "\n"
+
+
+def _report_text(report: SuiteReport) -> str:
+    lines = []
+    for res in report.results:
+        extra = res.detail or res.reason
+        lines.append(f"[{res.status.upper():>7}] {res.check} :: {res.ring}"
+                     + (f" :: {extra}" if extra else ""))
+    c = report.counts
+    lines.append(f"summary: {c['pass']} pass, {c['fail']} fail, "
+                 f"{c['skipped']} skipped")
+    return "\n".join(lines) + "\n"
+
+
+def _report_json(suite: str, report: SuiteReport, rings: dict) -> str:
+    """Each result with its ring's fingerprint, hashed only here; results
+    that no ring reaches have none."""
+    results = [{**dataclasses.asdict(res), "fingerprint":
+                rings[res.ring].fingerprint if res.ring in rings else None}
+               for res in report.results]
+    return _json({"suite": suite, "results": results,
+                  "counts": report.counts})
 
 
 def _run_info(args) -> int:
     ring = _ring(args.spec)
     lattice = all_ideals(ring)
     cls = classify(ring, lattice)
-    if args.format == "json":
-        _emit(json.dumps(classification_to_json(cls, lattice), indent=2,
-                         sort_keys=True) + "\n", args.out)
-    else:
-        from .classify import CSV_FIELDS, classification_csv_row
-        import csv as _csv
-        import io
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        writer.writerow(classification_csv_row(cls))
-        _emit(buf.getvalue(), args.out)
+    _emit(_info_json(ring, lattice, cls) if args.format == "json"
+          else _info_csv(ring, cls), args.out)
     return EXIT_OK
 
 
@@ -144,25 +192,20 @@ def _run_ideals(args) -> int:
     ring = _ring(args.spec)
     lattice = all_ideals(ring)
     if args.format == "json":
-        _emit(json.dumps(lattice_to_json(lattice), indent=2, sort_keys=True) + "\n",
-              args.out)
+        text = _json({"ring": ring.fingerprint,
+                      "ideals": [members(i) for i in lattice.ideals]})
     else:
-        lines = [
-            f"{k}\t{name_ideal(i, lattice)}\t{list(members(i))}"
-            for k, i in enumerate(lattice.ideals)
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "".join(f"{k}\t{name_ideal(i, lattice)}\t{list(members(i))}\n"
+                       for k, i in enumerate(lattice.ideals))
+    _emit(text, args.out)
     return EXIT_OK
 
 
 def _run_graph(args) -> int:
     ring = _ring(args.spec)
     g = build_ag(ring, all_ideals(ring))
-    if args.format == "dot":
-        _emit(to_dot(g), args.out)
-    else:
-        _emit(json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n",
-              args.out)
+    _emit(_graph_dot(g) if args.format == "dot" else
+          _json({"vertices": g.vertices, "edges": g.edges}), args.out)
     return EXIT_OK
 
 
@@ -170,20 +213,29 @@ def _run_genus(args) -> int:
     obj = parse_ring_spec(args.spec).build()
     g = build_ag(obj, all_ideals(obj)) if isinstance(obj, FiniteRing) else obj
     res = genus_exact(g, node_budget=args.budget_nodes)
-    _emit(_genus_text(res) if args.format == "text" else _genus_json(res),
-          args.out)
+    if args.format == "json":
+        text = _json({"lower": res.lower, "upper": res.upper,
+                      "status": res.status, "witness": res.witness})
+    elif res.exact:
+        text = f"exact {res.upper}\n"
+    else:
+        upper = "unknown" if res.upper is None else res.upper
+        text = f"{res.status} lower={res.lower} upper={upper}\n"
+    _emit(text, args.out)
     return EXIT_OK if res.exact else EXIT_BUDGET
 
 
 def _run_verify(args) -> int:
-    corpus = [(spec, _ring(spec)) for spec in args.specs] or None
+    corpus = [(spec, _ring(spec)) for spec in args.specs] or builtin_corpus()
     report = run_suite(corpus, args.suite, node_budget=args.budget_nodes)
     if args.format == "json":
-        text = report.to_json()
+        text = _report_json(args.suite, report, dict(corpus))
     elif args.format == "csv":
-        text = report.to_csv()
+        text = _csv([("check", "ring", "status", "reason_or_detail"),
+                     *((res.check, res.ring, res.status, res.detail or res.reason)
+                       for res in report.results)])
     else:
-        text = report.to_text()
+        text = _report_text(report)
     _emit(text, args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
@@ -202,14 +254,8 @@ def _run_corpus(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "info": _run_info,
-        "ideals": _run_ideals,
-        "graph": _run_graph,
-        "genus": _run_genus,
-        "verify": _run_verify,
-        "corpus": _run_corpus,
-    }
+    handlers = {"info": _run_info, "ideals": _run_ideals, "graph": _run_graph,
+                "genus": _run_genus, "verify": _run_verify, "corpus": _run_corpus}
     try:
         return handlers[args.command](args)
     except (SpecParseError, RingError, OSError, json.JSONDecodeError) as exc:

@@ -231,22 +231,54 @@ def _reduce(adj: dict[int, set[int]]):
 
 
 def _restore_rotation(rot: dict[int, list[int]], records) -> dict[int, list[int]]:
+    """Put the reduced vertices back into ``rot``, last record first.
+
+    Each rotation a record touches becomes a cycle of successor and
+    predecessor maps through a marker, None, that stands before its first
+    neighbor, so every insertion and removal is O(1) however long the
+    rotation.  Each cycle is flattened once at the end, from the marker,
+    into the list that editing the rotation in place gives.
+    """
+    links = {}
+
+    def cycle(w):
+        if w not in links:
+            cyc = [None, *rot.get(w, ())]
+            nxt = cyc[1:] + cyc[:1]
+            links[w] = dict(zip(cyc, nxt)), dict(zip(nxt, cyc))
+        return links[w]
+
+    def insert(w, v, x):
+        """v right after x in the rotation at w."""
+        succ, pred = cycle(w)
+        y = succ[x]
+        succ[x], succ[v], pred[v], pred[y] = v, y, x, v
+
     for rec in reversed(records):
         if rec[0] == "leaf":
+            # v goes last at p, just before the marker.
             _, v, p = rec
-            rot.setdefault(p, []).append(v)
-            rot[v] = [p]
+            insert(p, v, cycle(p)[1][None])
+            insert(v, p, None)
             continue
         # v after b at a and before a at b: the face b, a, v closes a
         # triangle, and the face that ran b -> a now runs b -> v -> a.  A
         # suppressed v then drops the edge ab, which leaves v in its place.
         kind, v, a, b = rec
-        rot[a].insert(rot[a].index(b) + 1, v)
-        rot[b].insert(rot[b].index(a), v)
-        rot[v] = [a, b]
+        insert(a, v, b)
+        insert(b, v, cycle(b)[1][a])
+        insert(v, a, None)
+        insert(v, b, a)
         if kind == "suppress":
-            rot[a].remove(b)
-            rot[b].remove(a)
+            for w, x in ((a, b), (b, a)):
+                succ, pred = links[w]
+                before, after = pred.pop(x), succ.pop(x)
+                succ[before], pred[after] = after, before
+    for w, (succ, _) in links.items():
+        rot[w], x = [], succ[None]
+        while x is not None:
+            rot[w].append(x)
+            x = succ[x]
     return rot
 
 

@@ -1,5 +1,5 @@
-"""Simple graphs: the annihilating-ideal graph, the complete and complete
-bipartite reference families, and DOT/JSON output."""
+"""Simple graphs: the annihilating-ideal graph and the complete and complete
+bipartite reference families."""
 
 from __future__ import annotations
 
@@ -92,25 +92,3 @@ def build_ag(r: FiniteRing, lattice: IdealLattice) -> SimpleGraph:
             raise RingError(f"the annihilating-ideal graph has more than "
                             f"{MAX_EDGES} edges, the cap")
     return SimpleGraph(tuple(name_ideal(i, lattice) for i in verts), tuple(edges))
-
-
-def _dot_id(label: str) -> str:
-    """A DOT quoted identifier: backslashes and double quotes escaped."""
-    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def to_dot(g: SimpleGraph) -> str:
-    """Deterministic DOT text of graph ``AG``: one vertex line per label, one
-    sorted edge line per edge."""
-    ids = [_dot_id(label) for label in g.vertices]
-    lines = ["graph AG {"]
-    for vid in ids:
-        lines.append(f"  {vid};")
-    for u, v in g.edges:
-        lines.append(f"  {ids[u]} -- {ids[v]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_to_json(g: SimpleGraph) -> dict:
-    return {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}

@@ -83,9 +83,6 @@ class IdealLattice:
     def __len__(self) -> int:
         return len(self.ideals)
 
-    def __iter__(self):
-        return iter(self.ideals)
-
     def index_of(self, ideal: int) -> int:
         return self._by_mask[ideal]
 
@@ -351,10 +348,3 @@ def name_ideal(ideal: int, lattice: IdealLattice) -> str:
             if ca * cb == size * (ma & mb).bit_count():
                 return f"({r.labels[a]},{r.labels[b]})"
     return f"I#{lattice.index_of(ideal)}"
-
-
-def lattice_to_json(lattice: IdealLattice) -> dict:
-    return {
-        "ring": lattice.ring.fingerprint,
-        "ideals": [list(members(i)) for i in lattice.ideals],
-    }

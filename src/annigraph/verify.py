@@ -10,37 +10,27 @@ and a registry of facts whose hypotheses no finite ring can satisfy.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .classify import RingClassification, classify, unique_minimal_ideal
 from .genus import DEFAULT_NODE_BUDGET, euler_lower_bound, genus_exact, is_planar
 from .graphs import SimpleGraph, build_ag
 from .ideals import IdealLattice, all_ideals, members, name_ideal, sub_ideals
-from .rings import TRIPLE_CHECK_CAP, FiniteRing, validate_ring
+from .rings import TRIPLE_CHECK_CAP, validate_ring
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One check on one ring.  ``ring`` is the ring's name; ``source`` is the
-    ring itself (None for checks that no ring reaches), kept out of the repr
-    and of equality."""
+    """One check on one ring.  ``ring`` is the ring's name in the corpus,
+    "-" for checks that no ring reaches."""
 
     check: str
     ring: str
-    source: FiniteRing | None = field(repr=False, compare=False)
     status: str  # pass | fail | skipped
     reason: str = ""
     witness: dict | None = None
     detail: str = ""
-
-    @property
-    def fingerprint(self) -> str | None:
-        """The ring's fingerprint, hashed only when output asks for it."""
-        return None if self.source is None else self.source.fingerprint
 
     @property
     def failed(self) -> bool:
@@ -311,7 +301,8 @@ SUITE_SELECTORS = ("lemmas", "shapes", "genus", "all")
 
 @dataclass(frozen=True)
 class SuiteReport:
-    suite: str
+    """The results of ``run_suite``, in corpus order."""
+
     results: tuple[CheckResult, ...]
 
     @property
@@ -325,50 +316,13 @@ class SuiteReport:
     def ok(self) -> bool:
         return self.counts["fail"] == 0
 
-    def to_text(self) -> str:
-        lines = []
-        for res in self.results:
-            tag = res.status.upper()
-            extra = res.detail or res.reason
-            lines.append(f"[{tag:>7}] {res.check} :: {res.ring}"
-                         + (f" :: {extra}" if extra else ""))
-        c = self.counts
-        lines.append(f"summary: {c['pass']} pass, {c['fail']} fail, "
-                     f"{c['skipped']} skipped")
-        return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        payload = [
-            {
-                "check": res.check,
-                "ring": res.ring,
-                "fingerprint": res.fingerprint,
-                "status": res.status,
-                "reason": res.reason,
-                "witness": res.witness,
-                "detail": res.detail,
-            }
-            for res in self.results
-        ]
-        return json.dumps({"suite": self.suite, "results": payload,
-                           "counts": self.counts}, indent=2, sort_keys=True) + "\n"
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["check", "ring", "status", "reason_or_detail"])
-        for res in self.results:
-            writer.writerow([res.check, res.ring, res.status,
-                             res.detail or res.reason])
-        return buf.getvalue()
-
-
-def _result(check, ring, source, status, text="", witness=None) -> CheckResult:
+def _result(check, ring, status, text="", witness=None) -> CheckResult:
     """A check outcome as a result: ``text`` is the reason of a skip and the
     detail of a pass or a fail."""
     if status == "skipped":
-        return CheckResult(check, ring, source, status, reason=text, witness=witness)
-    return CheckResult(check, ring, source, status, witness=witness, detail=text)
+        return CheckResult(check, ring, status, reason=text, witness=witness)
+    return CheckResult(check, ring, status, witness=witness, detail=text)
 
 
 def _ring_checks(ring, want, budgets):
@@ -400,28 +354,25 @@ def _ring_checks(ring, want, budgets):
             yield from _genus_checks(ag, solve_genus, check_planar)
 
 
-def run_suite(corpus=None, suite: str = "all", *,
+def run_suite(corpus, suite: str = "all", *,
               node_budget: int | None = DEFAULT_NODE_BUDGET,
               time_budget_ms: int | None = None) -> SuiteReport:
     """Run the selected checks over a corpus of (name, ring) pairs.
 
-    ``corpus`` defaults to the frozen built-in corpus.  Results keep corpus
-    order; rings whose tables fail the axiom check report the witness and
-    skip their downstream checks.  Genus searches stop at ``node_budget``
-    nodes; ``time_budget_ms`` adds a machine-dependent cut, off by default.
+    Results keep corpus order; rings whose tables fail the axiom check
+    report the witness and skip their downstream checks.  Genus searches
+    stop at ``node_budget`` nodes; ``time_budget_ms`` adds a
+    machine-dependent cut, off by default.
     """
     if suite not in SUITE_SELECTORS:
         raise ValueError(f"unknown suite selector {suite!r}; "
                          f"choose from {', '.join(SUITE_SELECTORS)}")
-    if corpus is None:
-        from .specs import builtin_corpus
-        corpus = builtin_corpus()
     want = {"lemmas", "shapes", "genus"} if suite == "all" else {suite}
     budgets = {"node_budget": node_budget, "time_budget_ms": time_budget_ms}
-    results = [_result(check, name, ring, *outcome)
+    results = [_result(check, name, *outcome)
                for name, ring in corpus
                for check, *outcome in _ring_checks(ring, want, budgets)]
     if "lemmas" in want:
-        results += [_result(check, "-", None, "skipped", hypothesis)
+        results += [_result(check, "-", "skipped", hypothesis)
                     for check, hypothesis in UNREACHABLE_FACTS]
-    return SuiteReport(suite, tuple(results))
+    return SuiteReport(tuple(results))

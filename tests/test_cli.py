@@ -486,6 +486,28 @@ def test_verify_suite_report_bytes_are_pinned(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == SUITE_DIGESTS[suite]
 
 
+# sha256 of ``genus`` text and JSON output over these inputs, in order,
+# concatenated: exact answers with their witnesses and one budget_exhausted
+# answer with its bounds and best rotation.
+GENUS_ARGVS = [("cat:k5",), ("cat:km:3:3",), ("cat:k7",), ("zn:12",),
+               ("prod:(zn:2,cat:f3xy_x2y2)",), ("cat:km:2:50",),
+               ("cat:k46", "--budget-nodes", "2000")]
+GENUS_DIGESTS = {
+    "text": "0da82e6dfae6a63eec5a62bc46c0aef7dc1fc7e3b4b7a49cd0c7751d763f5066",
+    "json": "a70510cc5d1c5ca48f0999dbdb45d666b0966bb80e763b8bb0db7e772ebb0d19",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GENUS_DIGESTS))
+def test_genus_output_bytes_are_pinned(capsys, fmt):
+    digest = hashlib.sha256()
+    for argv in GENUS_ARGVS:
+        code, out, _ = run(capsys, "genus", *argv, "--format", fmt)
+        assert code == (3 if "--budget-nodes" in argv else 0), argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == GENUS_DIGESTS[fmt]
+
+
 # Spec fuzz.  Rings stay small: factors of at most 25 elements, at most two
 # of them, and free text too short to spell a product or a 3-digit number.
 # Free text never starts with "-", which argparse reads as an option.

@@ -1,4 +1,5 @@
 import functools
+import json
 import itertools
 import math
 import random
@@ -7,17 +8,16 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annigraph.cli import main
 from annigraph.graphs import (
     SimpleGraph,
     build_ag,
     complete_bipartite,
     complete_graph,
-    graph_to_json,
     simple_graph,
-    to_dot,
 )
 from annigraph.ideals import all_ideals, annihilating_ideals, members, name_ideal
-from annigraph.rings import make_poly_quotient, make_zn
+from annigraph.rings import make_poly_quotient, make_zn, ring_to_json
 from annigraph.specs import parse_ring_spec
 
 from conftest import (
@@ -99,7 +99,7 @@ def test_three_generator_maximal_ideal():
     ring = make_f2xyz_m2()
     ideal_sets = brute_force_ideals(ring)
     assert ring.size == 16 and len(ideal_sets) == 17
-    assert {frozenset(members(i)) for i in all_ideals(ring)} == ideal_sets
+    assert {frozenset(members(i)) for i in all_ideals(ring).ideals} == ideal_sets
     g = ag_matches_pairwise_oracle(ring, ideal_sets)
     assert g.vertices == (
         "(x)", "(y)", "(x+y)", "(z)", "(x+z)", "(y+z)", "(x+y+z)",
@@ -136,9 +136,9 @@ def test_products_match_the_oracles(factors):
     if ring.size <= 16:
         assert brute_force_ideals(ring) == ideal_sets
     lattice = all_ideals(ring)
-    assert {frozenset(members(i)) for i in lattice} == ideal_sets
+    assert {frozenset(members(i)) for i in lattice.ideals} == ideal_sets
     ag_matches_pairwise_oracle(ring, ideal_sets)
-    for k, i in enumerate(lattice):
+    for k, i in enumerate(lattice.ideals):
         for j in lattice.ideals[k:]:
             assert lattice.product(i, j) == brute_product(ring, i, j)
 
@@ -170,27 +170,12 @@ def test_simple_graph_validation():
             SimpleGraph(("a", "b", "c"), tuple(edges))
 
 
-def test_dot_output_is_bit_exact():
-    z12 = make_zn(12)
-    g = build_ag(z12, all_ideals(z12))
-    assert to_dot(g) == (
-        'graph AG {\n'
-        '  "(6)";\n'
-        '  "(4)";\n'
-        '  "(3)";\n'
-        '  "(2)";\n'
-        '  "(6)" -- "(4)";\n'
-        '  "(6)" -- "(2)";\n'
-        '  "(4)" -- "(3)";\n'
-        '}\n'
-    )
-
-
-def test_graph_json_round_trip():
-    g = complete_bipartite(2, 3)
-    blob = graph_to_json(g)
+def test_graph_json_round_trip(capsys):
+    assert main(["graph", "zn:36", "--format", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
     assert blob["edges"] == sorted(blob["edges"])
-    assert simple_graph(blob["vertices"], blob["edges"]) == g
+    z36 = make_zn(36)
+    assert simple_graph(blob["vertices"], blob["edges"]) == build_ag(z36, all_ideals(z36))
 
 
 def test_relabeling_preserves_structure():
@@ -207,12 +192,16 @@ def test_relabeling_preserves_structure():
         == sorted(len(adj) for adj in g.adjacency)
 
 
-def test_dot_escapes_quotes_and_backslashes():
-    g = simple_graph(['a"b', "c\\d"], [(0, 1)])
-    assert to_dot(g) == (
+def test_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    # Z_8 with 2 labelled c\d and 4 labelled a"b: AG(Z_8) is the edge (4)-(2).
+    labels = ["0", "1", "c\\d", "3", 'a"b', "5", "6", "7"]
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({**ring_to_json(make_zn(8)), "labels": labels}))
+    assert main(["graph", f"table:{path}"]) == 0
+    assert capsys.readouterr().out == (
         'graph AG {\n'
-        '  "a\\"b";\n'
-        '  "c\\\\d";\n'
-        '  "a\\"b" -- "c\\\\d";\n'
+        '  "(a\\"b)";\n'
+        '  "(c\\\\d)";\n'
+        '  "(a\\"b)" -- "(c\\\\d)";\n'
         '}\n'
     )

@@ -1,3 +1,4 @@
+import json
 import math
 from functools import reduce
 from unittest import mock
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annigraph import ideals
+from annigraph.cli import main
 from annigraph.classify import classify, unique_minimal_ideal
 from annigraph.graphs import build_ag
 from annigraph.ideals import (
     all_ideals,
     annihilating_ideals,
-    lattice_to_json,
     members,
     name_ideal,
     sub_ideals,
@@ -58,7 +59,7 @@ def test_principal_fixtures():
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 16, 18, 24, 27, 36])
 def test_all_ideals_matches_divisor_oracle(n):
     lattice = all_ideals(make_zn(n))
-    assert {frozenset(members(i)) for i in lattice} == zn_ideal_sets(n)
+    assert {frozenset(members(i)) for i in lattice.ideals} == zn_ideal_sets(n)
     assert len(lattice) == len(divisors(n))
 
 
@@ -76,12 +77,12 @@ def test_all_ideals_field_and_quadratic():
 def test_all_ideals_matches_subset_closure_oracle(builder):
     ring = builder()
     lattice = all_ideals(ring)
-    assert {frozenset(members(i)) for i in lattice} == brute_force_ideals(ring)
+    assert {frozenset(members(i)) for i in lattice.ideals} == brute_force_ideals(ring)
 
 
 def test_lattice_order_and_endpoints():
     lattice = all_ideals(make_zn(12))
-    cards = [i.bit_count() for i in lattice]
+    cards = [i.bit_count() for i in lattice.ideals]
     assert cards == sorted(cards)
     assert lattice.zero == 1 << lattice.ring.zero
     assert lattice.unit == (1 << lattice.ring.size) - 1
@@ -186,7 +187,7 @@ def _principal(lattice, x):
 
 def test_sum_and_intersection_against_gcd_lcm():
     lattice = all_ideals(make_zn(12))
-    masks = set(lattice)
+    masks = set(lattice.ideals)
     for a in divisors(12):
         for b in divisors(12):
             ia, ib = _principal(lattice, a % 12), _principal(lattice, b % 12)
@@ -201,7 +202,7 @@ def test_sum_intersection_fixtures():
     i4, i6 = _principal(lattice, 4), _principal(lattice, 6)
     assert lattice.smallest_containing(i4 | i6) == _principal(lattice, 2)
     assert i4 & i6 == lattice.zero
-    for i in lattice:
+    for i in lattice.ideals:
         assert lattice.smallest_containing(i | lattice.zero) == i
 
 
@@ -210,7 +211,7 @@ def test_product_fixtures():
     assert lattice.product(_principal(lattice, 3), _principal(lattice, 4)) == lattice.zero
     assert member_set(lattice.product(_principal(lattice, 2), _principal(lattice, 3))) \
         == {0, 6}
-    for i in lattice:
+    for i in lattice.ideals:
         assert lattice.product(i, lattice.unit) == i
         assert lattice.product(lattice.zero, i) == lattice.zero
 
@@ -268,7 +269,7 @@ def test_lattice_keeps_principals_and_annihilators():
             want.setdefault(brute_principal(ring, x), x)
         assert list(lattice.principals.items()) == list(want.items())
         assert lattice.annihilators == tuple(brute_annihilator(ring, i)
-                                             for i in lattice)
+                                             for i in lattice.ideals)
 
 
 def _named_by_search(ideal, lattice):
@@ -313,8 +314,8 @@ def _socle_first():
 def test_name_ideal_matches_exhaustive_search(builder):
     ring = builder()
     lattice = all_ideals(ring)
-    assert [name_ideal(i, lattice) for i in lattice] \
-        == [_named_by_search(i, lattice) for i in lattice]
+    assert [name_ideal(i, lattice) for i in lattice.ideals] \
+        == [_named_by_search(i, lattice) for i in lattice.ideals]
 
 
 def test_socle_first_maximal_ideal_has_two_generators():
@@ -322,11 +323,10 @@ def test_socle_first_maximal_ideal_has_two_generators():
     assert name_ideal(lattice.ideals[-2], lattice) == "(x,y)"
 
 
-def test_serialization_carries_fingerprint():
-    z12 = make_zn(12)
-    lattice = all_ideals(z12)
-    blob = lattice_to_json(lattice)
-    assert blob["ring"] == z12.fingerprint
+def test_serialization_carries_fingerprint(capsys):
+    assert main(["ideals", "zn:12", "--format", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["ring"] == make_zn(12).fingerprint
     assert blob["ideals"][0] == [0]
 
 
@@ -364,7 +364,7 @@ def test_ideal_algebra_invariants(data):
     assert lattice.product(prod, l) == lattice.product(i, lattice.product(j, l))
 
     # Sums and products of lattice members stay in the lattice.
-    masks = set(lattice)
+    masks = set(lattice.ideals)
     total = brute_sum(ring, i, j)
     assert total in masks
     assert lattice.smallest_containing(i | j) == total

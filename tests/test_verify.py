@@ -1,15 +1,17 @@
 import collections
 import functools
+import json
 import math
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annigraph.cli import main
 from annigraph.graphs import build_ag, complete_bipartite, complete_graph, simple_graph
 from annigraph.ideals import all_ideals
 from annigraph.rings import FiniteRing, make_poly_quotient, make_zn
-from annigraph.specs import parse_ring_spec
+from annigraph.specs import builtin_corpus, parse_ring_spec
 from annigraph.verify import UNREACHABLE_FACTS, match_shape, run_suite
 
 from conftest import make_f2xy_x2xyy2, make_f2xy_x2y2
@@ -121,7 +123,7 @@ def test_match_shape_unknown_kind():
 
 
 def test_suite_passes_on_builtin_corpus():
-    report = run_suite(suite="all")
+    report = run_suite(builtin_corpus(), suite="all")
     assert report.ok
     counts = report.counts
     assert counts["fail"] == 0
@@ -129,8 +131,8 @@ def test_suite_passes_on_builtin_corpus():
 
 
 def test_suite_is_deterministic():
-    a = run_suite(suite="lemmas").to_json()
-    b = run_suite(suite="lemmas").to_json()
+    a = run_suite(builtin_corpus(), suite="lemmas").results
+    b = run_suite(builtin_corpus(), suite="lemmas").results
     assert a == b
 
 
@@ -184,21 +186,26 @@ def test_genus_suite_checks():
     }
 
 
-def test_report_formats():
+def test_report_formats(capsys):
     report = run_suite(named("zn:8"), suite="lemmas")
-    text = report.to_text()
+
+    def printed(fmt):
+        assert main(["verify", "zn:8", "--suite", "lemmas", "--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    text = printed("text")
     assert "summary:" in text
-    import json
-    payload = json.loads(report.to_json())
-    assert payload["counts"]["fail"] == 0
-    csv_text = report.to_csv()
+    assert len(text.splitlines()) == len(report.results) + 1
+    payload = json.loads(printed("json"))
+    assert payload["counts"] == report.counts and payload["counts"]["fail"] == 0
+    assert len(payload["results"]) == len(report.results)
+    csv_text = printed("csv")
     assert csv_text.splitlines()[0] == "check,ring,status,reason_or_detail"
     assert len(csv_text.splitlines()) == len(report.results) + 1
 
 
 def test_suite_solves_each_genus_at_most_once(monkeypatch):
     from annigraph import verify
-    from annigraph.specs import builtin_corpus
 
     calls = []
     real = verify.genus_exact
@@ -208,11 +215,11 @@ def test_suite_solves_each_genus_at_most_once(monkeypatch):
         return real(g, **budgets)
 
     monkeypatch.setattr(verify, "genus_exact", counting)
-    report = run_suite(suite="all")
+    report = run_suite(builtin_corpus(), suite="all")
     assert report.ok
     assert len(calls) == len(builtin_corpus()) == 23
     calls.clear()
-    run_suite(suite="lemmas")
+    run_suite(builtin_corpus(), suite="lemmas")
     assert calls == []
 
 
@@ -227,26 +234,26 @@ def test_suite_tests_each_planarity_at_most_once(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(verify, "is_planar", counting)
-    report = run_suite(suite="all")
+    report = run_suite(builtin_corpus(), suite="all")
     assert report.ok
     assert 0 < len(calls) <= 23
     assert len({id(g) for g in calls}) == len(calls)
 
 
 def test_text_report_leaves_ring_fingerprints_unhashed(capsys, monkeypatch):
-    from annigraph import specs
-    from annigraph.cli import main
+    from annigraph import cli
 
-    fresh = specs.builtin_corpus.__wrapped__()
-    monkeypatch.setattr(specs, "builtin_corpus", lambda: fresh)
-    assert main(["verify", "--suite", "all"]) == 0
-    assert "summary:" in capsys.readouterr().out
-    assert all("fingerprint" not in vars(ring) for _, ring in fresh)
-    report = run_suite(fresh, "genus")
-    assert all("fingerprint" not in vars(ring) for _, ring in fresh)
+    fresh = builtin_corpus.__wrapped__()
+    monkeypatch.setattr(cli, "builtin_corpus", lambda: fresh)
+    for fmt in ("text", "csv"):
+        assert main(["verify", "--suite", "all", "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        assert all("fingerprint" not in vars(ring) for _, ring in fresh)
+    assert main(["verify", "--suite", "lemmas", "--format", "json"]) == 0
     by_name = dict(fresh)
-    for res in report.results:
-        assert res.fingerprint == by_name[res.ring].fingerprint
+    for res in json.loads(capsys.readouterr().out)["results"]:
+        ring = by_name.get(res["ring"])
+        assert res["fingerprint"] == (None if ring is None else ring.fingerprint)
 
 
 def test_default_suite_reads_no_clock(monkeypatch):
