@@ -192,6 +192,21 @@ def test_relabeling_preserves_structure():
         == sorted(len(adj) for adj in g.adjacency)
 
 
+def test_dot_output_is_bit_exact(capsys):
+    assert main(["graph", "zn:12"]) == 0
+    assert capsys.readouterr().out == (
+        'graph AG {\n'
+        '  "(6)";\n'
+        '  "(4)";\n'
+        '  "(3)";\n'
+        '  "(2)";\n'
+        '  "(6)" -- "(4)";\n'
+        '  "(6)" -- "(2)";\n'
+        '  "(4)" -- "(3)";\n'
+        '}\n'
+    )
+
+
 def test_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
     # Z_8 with 2 labelled c\d and 4 labelled a"b: AG(Z_8) is the edge (4)-(2).
     labels = ["0", "1", "c\\d", "3", 'a"b', "5", "6", "7"]
