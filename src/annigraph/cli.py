@@ -31,8 +31,8 @@ EXIT_BUDGET = 3
 
 
 def _node_count(text: str) -> int:
-    """A ``--budget-nodes`` value: an integer >= 0, in decimal digits."""
-    if not text.isdecimal():
+    """A ``--budget-nodes`` value: an integer >= 0, in ASCII decimal digits."""
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
 
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
                 "genus": _run_genus, "verify": _run_verify, "corpus": _run_corpus}
     try:
         return handlers[args.command](args)
-    except (SpecParseError, RingError, OSError, json.JSONDecodeError) as exc:
+    except (SpecParseError, RingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

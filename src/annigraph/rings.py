@@ -11,7 +11,6 @@ over the tables, the triple axioms on a generating set of (R, +).
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,16 +146,13 @@ class FiniteRing:
     def fingerprint(self) -> str:
         """Hex digest of the tables; identifies the ring across serializations.
 
-        It hashes the compact JSON text of ``[size, zero, one, add, mul]``,
-        streamed one table row at a time.
+        SHA-256 of the ASCII text ``f"{size},{zero},{one}"``, then the ``add``
+        table, then the ``mul`` table, each as row-major little-endian int32
+        bytes.  Labels are not part of it.
         """
-        digest = hashlib.sha256(f"[{self.size},{self.zero},{self.one}".encode())
+        digest = hashlib.sha256(f"{self.size},{self.zero},{self.one}".encode())
         for table in (self.add, self.mul):
-            for k, row in enumerate(table):
-                digest.update(b",[" if k == 0 else b",")
-                digest.update(json.dumps(row.tolist(), separators=(",", ":")).encode())
-            digest.update(b"]")
-        digest.update(b"]")
+            digest.update(np.ascontiguousarray(table, dtype="<i4"))
         return digest.hexdigest()
 
 

@@ -228,8 +228,14 @@ def _build(spec: RingSpec):
             raise RingError("prod: both factors must be rings, not graphs")
         return make_product(left, right)
     if spec.kind in ("sc", "table"):
-        with open(spec.args[0], encoding="utf-8") as fh:
-            data = json.load(fh)
+        path = spec.args[0]
+        with open(path, encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                # Not UTF-8, not JSON, an integer over the int-string limit
+                # (all ValueError), or arrays nested deeper than the stack.
+                raise RingError(f"cannot decode {spec.kind} file {path}: {exc}") from exc
         ring = ring_from_sc_json(data) if spec.kind == "sc" else ring_from_json(data)
         report = validate_ring(ring)
         if not report.ok:

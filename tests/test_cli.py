@@ -259,9 +259,21 @@ def test_invalid_input_exit_code(capsys, tmp_path):
                          (sc_files[2], "not prime"), (sc_files[3], "not prime")]:
         code, out, err = run(capsys, "info", spec)
         assert code == 2 and out == "" and one_line_error(err) and reason in err, err
+    # Ring files that cannot be decoded: arrays nested past the stack, bytes
+    # that are not UTF-8, and an integer over the int-string limit.
+    for n, raw in enumerate([b"[" * 200_000 + b"]" * 200_000,
+                             b"\xff\xfe{\x00}\x00",
+                             b'{"size": ' + b"7" * 5000 + b"}"]):
+        path = tmp_path / f"raw{n}.json"
+        path.write_bytes(raw)
+        for kind in ("table", "sc"):
+            code, out, err = run(capsys, "info", f"{kind}:{path}")
+            assert code == 2 and out == "" and one_line_error(err), err
+            assert str(path) in err, err
     # A node budget that is not an integer >= 0 is a usage error, from argparse.
+    # Fullwidth and Arabic-Indic digits pass str.isdecimal but are not ASCII.
     for argv in (("genus", "cat:k5"), ("verify", "zn:8")):
-        for budget in ("-5", "-1", "five"):
+        for budget in ("-5", "-1", "five", "１２", "٣"):
             with pytest.raises(SystemExit) as exc:
                 main([*argv, "--budget-nodes", budget])
             captured = capsys.readouterr()
@@ -437,7 +449,7 @@ def test_verify_reports_unchecked_triple_axioms(capsys, tmp_path):
 # reports are deterministic; a change to any byte of them fails here.
 REPORT_DIGESTS = {
     "text": "36a216074ae8f9405f76bb4a8413b1f86fcf110e729ea4b2b750714d3dbbd4d3",
-    "json": "bde1514f9ff781c3ea5912fce19bab2e999f13417662a66336dc67b9c534c343",
+    "json": "3003a91ba05a7e1af7370ac30ab4929035086ba1ebdfa3aa8d89b8e206199334",
     "csv": "28b4fd50447e24a782a6079d06cecefb0a796fa4a4580504c7cb0358abd3b24b",
 }
 
@@ -452,10 +464,10 @@ def test_verify_report_bytes_are_pinned(capsys, fmt):
 # sha256 of each format of ``info``, ``ideals`` and ``graph``: the outputs for
 # the rings of the built-in corpus, in order, concatenated.
 OUTPUT_DIGESTS = {
-    ("info", "json"): "a39a4ee061b68766635ea160e9fcacc63d2ecc2a04c092e80f45d2b6117d7aaf",
-    ("info", "csv"): "fc31c30ffb8efef6c849ae237ad08ec056def11b44a6870ecf76e1acdde11322",
+    ("info", "json"): "5cb14167e73df603a3f4b499b9d2fe2b10455ab1e58f647625c208d5756b8853",
+    ("info", "csv"): "42c99d06a406a52a995925dd5a64fa40db62936f01131a5b3307189811caa8c2",
     ("ideals", "text"): "8b2da0f0737d82a2afa6c1e758833171c65174498efd7fdea80a2fea85d6fd69",
-    ("ideals", "json"): "8e839a02c57c2e6f64f4c35669327dcacf1d7ef24983027f73808dd6dda1dc16",
+    ("ideals", "json"): "9fdd37f0d9340b41e30b013e41e0d046f45dc8a4f1ff716280fad8fa2f7f11a4",
     ("graph", "dot"): "8efc98e05585083f406ac01905ba93ad5c0a52b375ae69120a073205cd914eed",
     ("graph", "json"): "93b29590a35b4682d5feb893d9ba0ace173dcc522dbaff8042799c390f694049",
 }

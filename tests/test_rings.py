@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -368,9 +369,57 @@ def test_fingerprints_are_pinned():
     from annigraph.specs import parse_ring_spec
 
     assert parse_ring_spec("zn:12").build().fingerprint == (
-        "78ace8da54ca7abcf353a225de469f36794618c2f97e88a0e2cf56a4a1c2c0b0")
+        "a03ff53f9abd6b5df1bb914db7eadf7ac917306cdb41adce9e33d47eab7f31aa")
     assert parse_ring_spec("cat:f3xy_x2y2").build().fingerprint == (
-        "b88e29af40b602e4540129cf484e251a17ecf88026a5626bfa6ac398299d8924")
+        "e8bae8f2234b05e5fd0ae72eacce9f3cc87c31789c93447d27f40969fbd88a6c")
+
+
+def _oracle_fingerprint(blob: dict) -> str:
+    """The digest recomputed from the table exchange form: the header text,
+    then each table as little-endian int32 bytes."""
+    digest = hashlib.sha256(f"{blob['size']},{blob['zero']},{blob['one']}".encode())
+    for key in ("add", "mul"):
+        digest.update(np.asarray(blob[key], dtype="<i4").tobytes())
+    return digest.hexdigest()
+
+
+def test_fingerprint_matches_an_independent_oracle():
+    r = make_product(make_zn(3), make_f2xy_x2y2())
+    blob = ring_to_json(r)
+    assert r.fingerprint == _oracle_fingerprint(blob)
+
+    # Any dtype or memory layout of the same tables gives the same digest.
+    def read_only(table):
+        table.flags.writeable = False
+        return table
+
+    for convert in (lambda t: t.astype(np.int64), lambda t: t.astype(np.uint16),
+                    lambda t: read_only(np.asfortranarray(t)),
+                    lambda t: read_only(np.repeat(t, 2, axis=1)[:, ::2])):
+        again = FiniteRing(size=r.size, add=convert(r.add), mul=convert(r.mul),
+                           one=r.one, labels=r.labels)
+        assert again.fingerprint == r.fingerprint
+    assert not again.add.flags.c_contiguous  # a strided view, kept as given
+
+    # A file whose additive identity is not index 0: swapping indices 0 and
+    # 5 there and back in ring_from_json leaves the ring and its digest.
+    perm = np.arange(r.size)
+    perm[[0, 5]] = 5, 0
+    grid = np.ix_(perm, perm)
+    swapped = {"size": r.size, "zero": 5, "one": int(perm[r.one]),
+               "add": perm[r.add[grid]].tolist(), "mul": perm[r.mul[grid]].tolist()}
+    loaded = ring_from_json(json.loads(json.dumps(swapped)))
+    assert loaded.fingerprint == r.fingerprint == _oracle_fingerprint(ring_to_json(loaded))
+
+    # One changed mul entry, or a changed one, changes the digest.
+    mul = r.mul.copy()
+    mul[2, 3] = mul[3, 2] = (mul[2, 3] + 1) % r.size
+    changed = FiniteRing(size=r.size, add=r.add, mul=mul, one=r.one)
+    assert changed.fingerprint != r.fingerprint
+    assert changed.fingerprint == _oracle_fingerprint(ring_to_json(changed))
+    moved = FiniteRing(size=r.size, add=r.add, mul=r.mul, one=r.one + 1)
+    assert moved.fingerprint != r.fingerprint
+    assert moved.fingerprint == _oracle_fingerprint(ring_to_json(moved))
 
 
 def test_poly_quotient_matches_its_structure_constants():
