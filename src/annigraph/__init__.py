@@ -34,6 +34,6 @@ from .rings import (
     validate_ring,
 )
 from .specs import RingSpec, SpecParseError, builtin_corpus, parse_ring_spec
-from .verify import CheckResult, ShapeMatch, SuiteReport, match_shape, run_suite
+from .verify import CheckResult, SuiteReport, match_shape, run_suite
 
 __version__ = "0.1.0"

@@ -64,6 +64,15 @@ class GenusResult:
         return self.status == "exact"
 
 
+def _neighbours(g: SimpleGraph) -> dict[int, set[int]]:
+    """A fresh map from each vertex to the set of its neighbours."""
+    adj = {v: set() for v in range(g.n_vertices)}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def _components(adj: dict[int, set[int]]) -> list[list[int]]:
     seen = set()
     comps = []
@@ -103,7 +112,7 @@ def _component_euler_bound(verts, adj) -> int:
 def euler_lower_bound(g: SimpleGraph) -> int:
     """Sum of per-component Euler-formula bounds: ceil((E-3V+6)/6), or
     ceil((E-2V+4)/4) on triangle-free components; 0 for small components."""
-    adj = dict(enumerate(g.adjacency))
+    adj = _neighbours(g)
     return sum(_component_euler_bound(c, adj) for c in _components(adj))
 
 
@@ -139,7 +148,7 @@ def verify_embedding(g: SimpleGraph, rotation) -> int:
     n = g.n_vertices
     if len(rotation) != n:
         raise EmbeddingError(f"rotation covers {len(rotation)} vertices, graph has {n}")
-    adj = dict(enumerate(g.adjacency))
+    adj = _neighbours(g)
     pos = []
     for v in range(n):
         cyc = tuple(rotation[v])
@@ -208,8 +217,10 @@ def _reduce(adj: dict[int, set[int]]):
     neighbors if it had two": it never raises a degree, so a vertex stays
     removable once it is, and two removals give the same graph in either
     order.  Every order therefore ends at the same reduced graph.
+
+    ``adj`` is consumed: it is edited in place and returned as the reduced
+    graph.
     """
-    adj = {v: set(s) for v, s in adj.items()}
     records = []
     stack = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
     while stack:
@@ -284,30 +295,37 @@ def _restore_rotation(rot: dict[int, list[int]], records) -> dict[int, list[int]
 
 def _connected_edge_order(verts, adj):
     """BFS edge order, each edge from its earlier to its later vertex: the
-    |V|-1 tree edges in BFS order (each attaching a new vertex), then the
-    rest by (later, earlier) position, so early vertices complete first."""
-    degs = {v: len(adj[v]) for v in verts}
-    root = min(verts, key=lambda v: (-degs[v], v))
-    order = {root: 0}
-    parent = {root: None}
-    queue = [root]
+    |V|-1 tree edges (parent[w], w) in BFS order (each attaching a new
+    vertex), then the rest by (later, earlier) position, so early vertices
+    complete first.  The BFS starts at the first vertex by (-degree, label)
+    and visits neighbours in that rank.  Scanning the earlier endpoints in
+    BFS order fills each later vertex's list already in order."""
+    ranked = sorted(verts, key=lambda v: (-len(adj[v]), v))
+    rank = {v: i for i, v in enumerate(ranked)}
+    order = {ranked[0]: 0}
+    parent = {ranked[0]: None}
+    queue = [ranked[0]]
     for v in queue:
-        for w in sorted(adj[v], key=lambda w: (-degs[w], w)):
+        for w in sorted(adj[v], key=rank.__getitem__):
             if w not in order:
                 order[w] = len(order)
                 parent[w] = v
                 queue.append(w)
-    edges = [(u, w) for w in queue for u in adj[w] if order[u] < order[w]]
-    edges.sort(key=lambda e: (parent[e[1]] != e[0], order[e[1]], order[e[0]]))
-    return edges
+    later = {w: [] for w in queue}
+    for pos, u in enumerate(queue):
+        for w in adj[u]:
+            if pos < order[w] and parent[w] != u:
+                later[w].append((u, w))
+    return [(parent[w], w) for w in queue[1:]] + [e for w in queue for e in later[w]]
 
 
 class _EmbeddingSearch:
     """Depth-first search over corner insertions for a fixed ordered edge list.
 
     The edge list may span several components; each component's first edge
-    opens a fresh face.  ``run`` returns (rotation, genus) for the first
-    embedding found with at most ``target`` face merges, or (None, None).
+    opens a fresh face, and every vertex in ``vert_ids`` must have an edge.
+    ``run`` returns (rotation, genus) for the first embedding found with at
+    most ``target`` face merges, or (None, None).
 
     The stack holds one generator per placed edge, so the depth is bounded
     by memory, not by the interpreter's recursion limit.  A level's
@@ -384,11 +402,7 @@ class _EmbeddingSearch:
         rot_next = self.rot_next
         head = self.head
         for i, v in enumerate(self.ids):
-            lst = self.darts_at[i]
-            if not lst:
-                rot[v] = []
-                continue
-            start = lst[0]
+            start = self.darts_at[i][0]
             cyc = []
             d = start
             while True:
@@ -572,7 +586,7 @@ def genus_exact(g: SimpleGraph, *, node_budget: int | None = DEFAULT_NODE_BUDGET
     budget.  ``time_budget_ms`` adds a machine-dependent cut, off by default.
     """
     budget = _Budget(node_budget, time_budget_ms)
-    reduced, records = _reduce(dict(enumerate(g.adjacency)))
+    reduced, records = _reduce(_neighbours(g))
 
     lower = 0
     upper = 0  # None once some component has no embedding yet

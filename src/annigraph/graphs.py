@@ -4,7 +4,6 @@ bipartite reference families."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, product
 
 from .ideals import IdealLattice, annihilating_ideals, name_ideal
@@ -40,14 +39,6 @@ class SimpleGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset, ...]:
-        sets = [set() for _ in self.vertices]
-        for u, v in self.edges:
-            sets[u].add(v)
-            sets[v].add(u)
-        return tuple(frozenset(s) for s in sets)
 
 
 def simple_graph(vertices, edges) -> SimpleGraph:

@@ -134,7 +134,10 @@ def _parse_int(s: str, i: int) -> tuple[int, int]:
         j += 1
     if j == i:
         raise SpecParseError("expected an integer", i)
-    return int(s[i:j]), j
+    try:
+        return int(s[i:j]), j
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise SpecParseError(f"integer of {j - i} digits is too long", i) from None
 
 
 def _parse_coeffs(s: str, i: int) -> tuple[tuple[int, ...], int]:

@@ -158,51 +158,37 @@ def _unique_minimal_socle(lattice: IdealLattice, cls: RingClassification):
             }
 
 
-@dataclass(frozen=True)
-class ShapeMatch:
-    """Role assignment for a recognized star pattern."""
+def match_shape(g: SimpleGraph, kind: str) -> int | None:
+    """Recognize the two planar star families by vertex degrees.
 
-    kind: str
-    centers: tuple[int, ...]
-    leaves: tuple[int, ...]
-    matching: tuple[tuple[int, int], ...] = ()
-
-
-def match_shape(g: SimpleGraph, kind: str) -> ShapeMatch | None:
-    """Recognize the two planar star families.
-
-    double_star: two centers (optionally adjacent); every other vertex has
-    degree 1 or 2 and is adjacent only to centers.  star_with_matching: one
-    center adjacent to all other vertices; the remaining edges form a
-    partial matching among the leaves.  Returns the first assignment in
-    vertex order, or None.
+    star_with_matching: one center adjacent to all other vertices; the
+    remaining edges form a partial matching among the leaves, so every leaf
+    has degree 1 or 2.  double_star: two centers c1 < c2 (optionally
+    adjacent); every other vertex has degree 1 or 2 and is adjacent only to
+    centers, so every edge meets a center: deg(c1) + deg(c2) - [c1c2 is an
+    edge] = E, and no other vertex has degree 0.  Returns the first center
+    in vertex order (c1 of the first pair), or None.
     """
-    n = g.n_vertices
-    adj = g.adjacency
+    n, m = g.n_vertices, g.n_edges
+    deg = [0] * n
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
     if kind == "star_with_matching":
-        for c in range(n):
-            if len(adj[c]) != n - 1:
-                continue
-            rest = [v for v in range(n) if v != c]
-            matching = [(u, v) for u, v in g.edges if u != c and v != c]
-            matched = [w for e in matching for w in e]
-            if len(matched) == len(set(matched)):
-                return ShapeMatch(kind, (c,), tuple(rest), tuple(matching))
-        return None
+        over_two = sum(d > 2 for d in deg)
+        return next((c for c in range(n)
+                     if deg[c] == n - 1 and over_two == (deg[c] > 2)), None)
     if kind == "double_star":
+        edges = set(g.edges)
+        isolated = deg.count(0)
+        top = max(deg, default=0)
         for c1 in range(n):
+            if deg[c1] + top < m:  # no partner covers the edges c1 misses
+                continue
             for c2 in range(c1 + 1, n):
-                centers = {c1, c2}
-                ok = True
-                for v in range(n):
-                    if v in centers:
-                        continue
-                    if not adj[v] or not adj[v] <= centers:
-                        ok = False
-                        break
-                if ok:
-                    leaves = tuple(v for v in range(n) if v not in centers)
-                    return ShapeMatch(kind, (c1, c2), leaves)
+                if (deg[c1] + deg[c2] - ((c1, c2) in edges) == m
+                        and isolated == (deg[c1] == 0) + (deg[c2] == 0)):
+                    return c1
         return None
     raise ValueError(f"unknown shape kind: {kind}")
 
@@ -247,8 +233,8 @@ def _shape_checks(cls, ag, find_shape, solve_genus, check_planar):
             yield (name, "skipped", f"needs local Gorenstein, t = {t_wanted}, "
                    f"v.dim profile {list(profile)}", None)
             continue
-        matched = find_shape(kind)
-        if matched is None:
+        center = find_shape(kind)
+        if center is None:
             yield (name, "fail", f"graph does not match {kind}",
                    {"edges": [list(e) for e in ag.edges]})
             continue
@@ -259,19 +245,20 @@ def _shape_checks(cls, ag, find_shape, solve_genus, check_planar):
             yield (name, "fail", f"{kind} matched but genus = {res.upper}",
                    {"genus": res.upper})
         else:
-            center = ag.vertices[matched.centers[0]]
-            yield (name, "pass", f"{kind} centered at {center}, genus 0 "
-                   f"({len(matched.leaves)} leaves)", None)
+            leaves = ag.n_vertices - (1 if kind == "star_with_matching" else 2)
+            yield (name, "pass", f"{kind} centered at {ag.vertices[center]}, "
+                   f"genus 0 ({leaves} leaves)", None)
 
     name = "shape_implies_planar"
-    hit = find_shape("star_with_matching") or find_shape("double_star")
-    if hit is None:
+    kind = next((k for k in ("star_with_matching", "double_star")
+                 if find_shape(k) is not None), None)
+    if kind is None:
         yield name, "pass", "no shape match", None
     elif check_planar():
-        yield name, "pass", f"{hit.kind} match and planar", None
+        yield name, "pass", f"{kind} match and planar", None
     else:
-        yield (name, "fail", f"{hit.kind} matched but graph is non-planar",
-               {"kind": hit.kind, "edges": [list(e) for e in ag.edges]})
+        yield (name, "fail", f"{kind} matched but graph is non-planar",
+               {"kind": kind, "edges": [list(e) for e in ag.edges]})
 
 
 def _genus_checks(ag, solve_genus, check_planar):

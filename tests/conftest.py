@@ -25,6 +25,7 @@ from annigraph.genus import (
     _components,
     _connected_edge_order,
     _EmbeddingSearch,
+    _neighbours,
     verify_embedding,
 )
 from annigraph.rings import FiniteRing, ValidationReport, make_structure_constants
@@ -224,10 +225,19 @@ def genus_formula_bipartite(m: int, n: int) -> int:
     return ((m - 2) * (n - 2) + 3) // 4
 
 
+def neighbour_sets(graph) -> list[set[int]]:
+    """Each vertex's neighbours, read off the edge list."""
+    nbrs = [set() for _ in range(graph.n_vertices)]
+    for u, v in graph.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
 def rotation_count(graph) -> int:
     count = 1
-    for v in range(graph.n_vertices):
-        count *= math.factorial(max(len(graph.adjacency[v]) - 1, 1))
+    for nbrs in neighbour_sets(graph):
+        count *= math.factorial(max(len(nbrs) - 1, 1))
     return count
 
 
@@ -235,8 +245,7 @@ def brute_force_genus(graph, cap: int = 200_000) -> int:
     """Minimum genus over all rotation systems, traced one by one."""
     assert rotation_count(graph) <= cap, "rotation space too large for brute force"
     options = []
-    for v in range(graph.n_vertices):
-        nbrs = sorted(graph.adjacency[v])
+    for nbrs in map(sorted, neighbour_sets(graph)):
         if len(nbrs) <= 2:
             options.append([tuple(nbrs)])
         else:
@@ -260,7 +269,7 @@ def genus_exact_whole(g) -> GenusResult:
     if not g.n_edges:
         return GenusResult(0, 0, "exact", ((),) * g.n_vertices, nodes=0)
     budget = _Budget(None, None)
-    adj = dict(enumerate(g.adjacency))
+    adj = _neighbours(g)
     comps = [c for c in _components(adj) if len(c) > 1]
     edges = [e for comp in comps for e in _connected_edge_order(comp, adj)]
     search = _EmbeddingSearch([v for comp in comps for v in comp], edges, budget)

@@ -144,10 +144,10 @@ def test_criterion_4_quadratic_star_analogs():
             expected_vertices = len(lattice) - 2
             assert expected_vertices == q + 3
             assert g.n_vertices == expected_vertices
-            hit = match_shape(g, "star_with_matching")
-            assert hit is not None
-            assert g.vertices[hit.centers[0]] == "(xy)"
-            assert len(hit.leaves) == expected_vertices - 1
+            center = match_shape(g, "star_with_matching")
+            assert center is not None
+            assert g.vertices[center] == "(xy)"
+            assert sum(center in e for e in g.edges) == expected_vertices - 1
             # Leaf pairs (x+ay), (x+by) with a+b = 0 multiply to zero; over
             # F_2 that forces a = b (no pair), over F_3 exactly the pair
             # (x+y), (x+2y) -- canonically labeled by its smallest generator
@@ -157,7 +157,8 @@ def test_criterion_4_quadratic_star_analogs():
                 3: {frozenset({"(x+y)", "(2x+y)"})},
             }[q]
             got_matching = {
-                frozenset({g.vertices[u], g.vertices[v]}) for u, v in hit.matching
+                frozenset({g.vertices[u], g.vertices[v]})
+                for u, v in g.edges if center not in (u, v)
             }
             assert got_matching == expected_matching
             res = genus_exact(g)

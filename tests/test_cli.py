@@ -243,6 +243,11 @@ def test_invalid_input_exit_code(capsys, tmp_path):
     for spec in ("cat:k٣", "cat:km:2:٣"):  # Arabic-Indic 3, which int() reads
         code, out, err = run(capsys, "genus", spec)
         assert code == 2 and out == "" and one_line_error(err), err
+    # Integers past the interpreter's 4,300-digit int-string limit.
+    huge = "9" * 5000
+    for spec in (f"zn:{huge}", f"polyq:2:{huge},1", f"gf:{huge}:1,1"):
+        code, out, err = run(capsys, "info", spec)
+        assert code == 2 and out == "" and one_line_error(err), err
     # A huge prime modulus or rank is over the size cap, refused before any
     # trial division or work sized by the rank; p = 0 and p = 1 are not prime.
     big = 10**24 + 7

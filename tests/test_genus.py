@@ -248,7 +248,7 @@ def test_triangle_rule_deletes_ears(base, genus_of_base, ears):
     # the triangle rule deletes them all, so the search runs on the base.
     (p, q), (r, s) = base.edges[0], base.edges[-1]
     g = with_ears(base, ears(p, q, r, s))
-    reduced, records = genus._reduce(dict(enumerate(g.adjacency)))
+    reduced, records = genus._reduce(genus._neighbours(g))
     assert sorted(reduced) == list(range(base.n_vertices))
     assert "triangle" in [rec[0] for rec in records]
     res = genus_exact(g)
@@ -463,11 +463,12 @@ def test_default_search_reads_no_clock(monkeypatch):
     assert res.exact and res.upper == 1
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_connected_edge_order_contract(data):
-    n = data.draw(st.integers(2, 12))
-    labels = data.draw(st.permutations(range(n)))
+@st.composite
+def connected_graphs(draw):
+    """(vertices, neighbour map) of a random connected graph on 2-12
+    vertices, vertices in a random order."""
+    n = draw(st.integers(2, 12))
+    labels = draw(st.permutations(range(n)))
     adj = {v: set() for v in labels}
 
     def connect(a, b):
@@ -476,11 +477,18 @@ def test_connected_edge_order_contract(data):
             adj[labels[b]].add(labels[a])
 
     for v in range(1, n):  # a random spanning tree keeps the graph connected
-        connect(v, data.draw(st.integers(0, v - 1)))
-    for a, b in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                             st.integers(0, n - 1)), max_size=30)):
+        connect(v, draw(st.integers(0, v - 1)))
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=30)):
         connect(a, b)
+    return labels, adj
 
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_connected_edge_order_contract(graph):
+    labels, adj = graph
+    n = len(labels)
     edges = _connected_edge_order(labels, adj)
     assert sorted(tuple(sorted(e)) for e in edges) == sorted(
         (u, w) for u in adj for w in adj[u] if u < w)
@@ -494,6 +502,32 @@ def test_connected_edge_order_contract(data):
     assert all(pos[u] < pos[w] for u, w in edges)
     rest = [(pos[w], pos[u]) for u, w in edges[n - 1:]]
     assert rest == sorted(rest)
+
+
+def sorted_edge_order(verts, adj):
+    """The BFS edge order by collecting every edge and sorting on (not a
+    tree edge, later position, earlier position)."""
+    degs = {v: len(adj[v]) for v in verts}
+    root = min(verts, key=lambda v: (-degs[v], v))
+    order = {root: 0}
+    parent = {root: None}
+    queue = [root]
+    for v in queue:
+        for w in sorted(adj[v], key=lambda w: (-degs[w], w)):
+            if w not in order:
+                order[w] = len(order)
+                parent[w] = v
+                queue.append(w)
+    edges = [(u, w) for w in queue for u in adj[w] if order[u] < order[w]]
+    edges.sort(key=lambda e: (parent[e[1]] != e[0], order[e[1]], order[e[0]]))
+    return edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_connected_edge_order_matches_sorted_oracle(graph):
+    labels, adj = graph
+    assert _connected_edge_order(labels, adj) == sorted_edge_order(labels, adj)
 
 
 @st.composite
@@ -537,14 +571,15 @@ def graphs_with_reductions(draw):
 @settings(max_examples=150, deadline=None)
 @given(graphs_with_reductions(), st.randoms(use_true_random=False))
 def test_reduce_is_minimal_and_commutes_with_relabelling(g, rng):
-    adj = dict(enumerate(g.adjacency))
-    reduced, _ = genus._reduce(adj)
+    # _reduce edits the map it is given, so each call gets a fresh one.
+    reduced, _ = genus._reduce(genus._neighbours(g))
     assert all(len(nbrs) >= 3 for nbrs in reduced.values())
     # Relabel by pi, reduce, and map back: the reduced graph is the same, so
     # it does not depend on the order in which vertices are removed.
     pi = rng.sample(range(g.n_vertices), g.n_vertices)
     inverse = {p: v for v, p in enumerate(pi)}
-    relabelled, _ = genus._reduce({pi[v]: {pi[w] for w in nbrs} for v, nbrs in adj.items()})
+    relabelled, _ = genus._reduce({pi[v]: {pi[w] for w in nbrs}
+                                   for v, nbrs in genus._neighbours(g).items()})
     assert {inverse[v]: {inverse[w] for w in nbrs}
             for v, nbrs in relabelled.items()} == reduced
 

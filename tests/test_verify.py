@@ -5,16 +5,22 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from annigraph.cli import main
-from annigraph.graphs import build_ag, complete_bipartite, complete_graph, simple_graph
+from annigraph.graphs import (
+    SimpleGraph,
+    build_ag,
+    complete_bipartite,
+    complete_graph,
+    simple_graph,
+)
 from annigraph.ideals import all_ideals
 from annigraph.rings import FiniteRing, make_poly_quotient, make_zn
 from annigraph.specs import builtin_corpus, parse_ring_spec
 from annigraph.verify import UNREACHABLE_FACTS, match_shape, run_suite
 
-from conftest import make_f2xy_x2xyy2, make_f2xy_x2y2
+from conftest import make_f2xy_x2xyy2, make_f2xy_x2y2, neighbour_sets
 
 
 def lemma(check, ring):
@@ -83,22 +89,27 @@ def test_unique_minimal_and_socle_fixtures():
     assert res.status == "skipped" and "Gorenstein" in res.reason
 
 
+def off_center(g, center):
+    """The edges that miss ``center``: the matching of a star match."""
+    return [e for e in g.edges if center not in e]
+
+
 def test_match_shape_star_with_matching():
     star = complete_bipartite(1, 4)
-    hit = match_shape(star, "star_with_matching")
-    assert hit is not None and hit.matching == ()
+    center = match_shape(star, "star_with_matching")
+    assert center == 0 and off_center(star, center) == []
 
     ring = make_f2xy_x2y2()
     ag = build_ag(ring, all_ideals(ring))
-    hit = match_shape(ag, "star_with_matching")
-    assert hit is not None
-    assert ag.vertices[hit.centers[0]] == "(xy)"
-    assert len(hit.leaves) == 4 and hit.matching == ()
+    center = match_shape(ag, "star_with_matching")
+    assert center is not None
+    assert ag.vertices[center] == "(xy)"
+    assert sum(center in e for e in ag.edges) == 4 and off_center(ag, center) == []
 
     # Star plus a matching edge between two leaves.
     g = simple_graph("cwxyz", [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
-    hit = match_shape(g, "star_with_matching")
-    assert hit is not None and hit.matching == ((1, 2),)
+    center = match_shape(g, "star_with_matching")
+    assert center == 0 and off_center(g, center) == [(1, 2)]
 
 
 def test_match_shape_double_star():
@@ -107,14 +118,99 @@ def test_match_shape_double_star():
         "ABxyzpq",
         [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4)],
     )
-    hit = match_shape(g, "double_star")
-    assert hit is not None and set(hit.centers) == {0, 1}
+    # The centers 0 and 1 meet every edge.
+    assert match_shape(g, "double_star") == 0
+    assert all({u, v} & {0, 1} for u, v in g.edges)
 
     assert match_shape(complete_graph(5), "double_star") is None
     assert match_shape(complete_graph(5), "star_with_matching") is None
     # K_4: the would-be leaves are adjacent to each other.
     assert match_shape(complete_graph(4), "double_star") is None
     assert match_shape(complete_graph(4), "star_with_matching") is None
+
+
+ShapeMatch = collections.namedtuple("ShapeMatch", "kind centers leaves matching",
+                                    defaults=((),))
+
+
+def neighbour_set_match(g: SimpleGraph, kind: str) -> ShapeMatch | None:
+    """Recognize the two planar star families.
+
+    double_star: two centers (optionally adjacent); every other vertex has
+    degree 1 or 2 and is adjacent only to centers.  star_with_matching: one
+    center adjacent to all other vertices; the remaining edges form a
+    partial matching among the leaves.  Returns the first assignment in
+    vertex order, or None.
+    """
+    n = g.n_vertices
+    adj = neighbour_sets(g)
+    if kind == "star_with_matching":
+        for c in range(n):
+            if len(adj[c]) != n - 1:
+                continue
+            rest = [v for v in range(n) if v != c]
+            matching = [(u, v) for u, v in g.edges if u != c and v != c]
+            matched = [w for e in matching for w in e]
+            if len(matched) == len(set(matched)):
+                return ShapeMatch(kind, (c,), tuple(rest), tuple(matching))
+        return None
+    if kind == "double_star":
+        for c1 in range(n):
+            for c2 in range(c1 + 1, n):
+                centers = {c1, c2}
+                ok = True
+                for v in range(n):
+                    if v in centers:
+                        continue
+                    if not adj[v] or not adj[v] <= centers:
+                        ok = False
+                        break
+                if ok:
+                    leaves = tuple(v for v in range(n) if v not in centers)
+                    return ShapeMatch(kind, (c1, c2), leaves)
+        return None
+    raise ValueError(f"unknown shape kind: {kind}")
+
+
+@st.composite
+def star_like_graphs(draw):
+    """Graphs on at most 9 vertices: random ones, and stars with a partial
+    matching or double stars with adjacent or non-adjacent centers, some
+    with one more edge, all with up to two isolated vertices and a random
+    labelling."""
+    n = draw(st.integers(0, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    shape = draw(st.sampled_from(["random", "star", "double_star"]))
+    if shape == "random" or n < 2:
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    elif shape == "star":
+        leaves = draw(st.permutations(range(1, n)))
+        pairs_matched = draw(st.integers(0, (n - 1) // 2))
+        edges = [(0, v) for v in leaves] + [
+            (leaves[2 * i], leaves[2 * i + 1]) for i in range(pairs_matched)]
+    else:
+        edges = [(0, 1)] if draw(st.booleans()) else []
+        for v in range(2, n):
+            edges += [(c, v) for c in draw(st.sampled_from([(0,), (1,), (0, 1)]))]
+    if pairs and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(pairs)))
+    n += draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(n)))
+    return simple_graph([str(v) for v in range(n)],
+                        [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=400, deadline=None)
+@given(star_like_graphs())
+@example(simple_graph([], []))
+@example(complete_graph(1))
+@example(complete_graph(2))
+@example(simple_graph("ab", []))
+@example(simple_graph("abc", []))
+def test_match_shape_agrees_with_neighbour_set_oracle(g):
+    for kind in ("star_with_matching", "double_star"):
+        hit = neighbour_set_match(g, kind)
+        assert match_shape(g, kind) == (None if hit is None else hit.centers[0])
 
 
 def test_match_shape_unknown_kind():
