@@ -214,8 +214,8 @@ def _run_genus(args) -> int:
     g = build_ag(obj, all_ideals(obj)) if isinstance(obj, FiniteRing) else obj
     res = genus_exact(g, node_budget=args.budget_nodes)
     if args.format == "json":
-        text = _json({"lower": res.lower, "upper": res.upper,
-                      "status": res.status, "witness": res.witness})
+        text = _json({"lower": res.lower, "upper": res.upper, "status": res.status,
+                      "nodes": res.nodes, "witness": res.witness})
     elif res.exact:
         text = f"exact {res.upper}\n"
     else:

@@ -142,8 +142,11 @@ def verify_embedding(g: SimpleGraph, rotation) -> int:
     """Trace the faces of a rotation system and return the embedding genus.
 
     The rotation must list, for every vertex, exactly its neighbors in some
-    cyclic order.  Genus comes from Euler's formula per connected component;
-    a non-integer or negative outcome is reported as an inconsistency.
+    cyclic order.  A face is traced from each dart, in edge order, that no
+    earlier face went through: faces are the orbits of a permutation of the
+    darts, so their count and components do not depend on the start.  Genus
+    comes from Euler's formula per connected component; a non-integer or
+    negative outcome is reported as an inconsistency.
     """
     n = g.n_vertices
     if len(rotation) != n:
@@ -156,20 +159,19 @@ def verify_embedding(g: SimpleGraph, rotation) -> int:
             raise EmbeddingError(f"rotation at vertex {v} does not match its neighbors")
         pos.append({u: k for k, u in enumerate(cyc)})
 
-    # Each face starts at its least dart: sweep the sorted darts and trace
-    # a face from every dart that no earlier face went through.
     traced = set()
     faces_in = [0] * n
-    for start in sorted(d for u, v in g.edges for d in ((u, v), (v, u))):
-        if start in traced:
-            continue
-        faces_in[start[0]] += 1
-        d = start
-        while d not in traced:
-            traced.add(d)
-            u, v = d
-            cyc = rotation[v]
-            d = (v, cyc[(pos[v][u] + 1) % len(cyc)])
+    for u, v in g.edges:
+        for start in ((u, v), (v, u)):
+            if start in traced:
+                continue
+            faces_in[start[0]] += 1
+            d = start
+            while d not in traced:
+                traced.add(d)
+                x, y = d
+                cyc = rotation[y]
+                d = (y, cyc[(pos[y][x] + 1) % len(cyc)])
 
     total = 0
     for comp in _components(adj):
@@ -323,9 +325,11 @@ class _EmbeddingSearch:
     """Depth-first search over corner insertions for a fixed ordered edge list.
 
     The edge list may span several components; each component's first edge
-    opens a fresh face, and every vertex in ``vert_ids`` must have an edge.
-    ``run`` returns (rotation, genus) for the first embedding found with at
-    most ``target`` face merges, or (None, None).
+    opens a fresh face, and every vertex in ``verts`` must have an edge.  It
+    runs in the caller's vertex ids on ``edges`` itself, not a copy: dart 2i
+    is edge i from its first endpoint, 2i+1 its reverse, and ``head`` holds
+    each dart's target.  ``run`` returns (rotation, genus) for the first
+    embedding found with at most ``target`` face merges, or (None, None).
 
     The stack holds one generator per placed edge, so the depth is bounded
     by memory, not by the interpreter's recursion limit.  A level's
@@ -343,25 +347,22 @@ class _EmbeddingSearch:
     tried, which about halves an exhausted rung.
     """
 
-    def __init__(self, vert_ids, edges, budget):
-        self.ids = list(vert_ids)
-        local = {v: i for i, v in enumerate(self.ids)}
-        self.edges = [(local[u], local[v]) for u, v in edges]
+    def __init__(self, verts, edges, budget):
+        self.edges = edges
         self.head = []
-        for u, v in self.edges:
+        for u, v in edges:
             self.head.extend((v, u))
-        ne = len(self.edges)
-        self.rot_next = [-1] * (2 * ne)
-        self.face = [-1] * (2 * ne)
-        self.darts_at = [[] for _ in self.ids]
+        self.rot_next = [-1] * len(self.head)
+        self.face = [-1] * len(self.head)
+        self.darts_at = {v: [] for v in verts}
         self.budget = budget
         self.genus_used = 0
         self.target = 0
         # The mirror edge: the first edge with an endpoint that already has
         # two darts, and which endpoint (0 for u, 1 for v); (-1, 0) if none.
         self.mirror = (-1, 0)
-        darts = [0] * len(self.ids)
-        for ei, (u, v) in enumerate(self.edges):
+        darts = dict.fromkeys(verts, 0)
+        for ei, (u, v) in enumerate(edges):
             if darts[u] == 2 or darts[v] == 2:
                 self.mirror = (ei, int(darts[u] != 2))
                 break
@@ -371,7 +372,7 @@ class _EmbeddingSearch:
     def run(self, target):
         self.target = float("inf") if target is None else target
         self.genus_used = 0
-        for lst in self.darts_at:
+        for lst in self.darts_at.values():
             lst.clear()
         depth = len(self.edges)
         budget = self.budget
@@ -399,18 +400,13 @@ class _EmbeddingSearch:
 
     def _extract(self):
         rot = {}
-        rot_next = self.rot_next
-        head = self.head
-        for i, v in enumerate(self.ids):
-            start = self.darts_at[i][0]
-            cyc = []
-            d = start
-            while True:
-                cyc.append(self.ids[head[d]])
-                d = rot_next[d]
-                if d == start:
-                    break
-            rot[v] = cyc
+        for v, darts in self.darts_at.items():
+            start = darts[0]
+            cyc = rot[v] = [self.head[start]]
+            d = self.rot_next[start]
+            while d != start:
+                cyc.append(self.head[d])
+                d = self.rot_next[d]
         return rot
 
     def _moves(self, ei):
@@ -542,18 +538,18 @@ class _EmbeddingSearch:
                 rot[x] = sx
 
 
-def _solve_component(verts, adj, budget):
+def _solve_component(verts, edges, lower, budget):
     """Exact genus of one connected component, or partial bounds on budget stop.
 
-    Returns (lower, upper, rotation, exact).  Where the Euler bound is 0,
-    the LR planarity test either returns a planar embedding as the witness,
-    with no search, or proves genus >= 1.  A cheap unrestricted first
-    descent supplies the initial upper bound and witness; iterative
-    deepening from the lower bound then closes the gap.  On budget
-    exhaustion the bounds keep whatever the completed rungs proved.
+    ``edges`` is the component's ``_connected_edge_order`` and ``lower`` its
+    Euler bound; no neighbour map is needed.  Returns (lower, upper,
+    rotation, exact).  Where the Euler bound is 0, the LR planarity test
+    either returns a planar embedding as the witness, with no search, or
+    proves genus >= 1.  A cheap unrestricted first descent supplies the
+    initial upper bound and witness; iterative deepening from the lower
+    bound then closes the gap.  On budget exhaustion the bounds keep
+    whatever the completed rungs proved.
     """
-    edges = _connected_edge_order(verts, adj)
-    lower = _component_euler_bound(verts, adj)
     if lower == 0:
         planar = _lr_rotation(verts, edges)
         if planar is not None:
@@ -587,13 +583,17 @@ def genus_exact(g: SimpleGraph, *, node_budget: int | None = DEFAULT_NODE_BUDGET
     """
     budget = _Budget(node_budget, time_budget_ms)
     reduced, records = _reduce(_neighbours(g))
+    # The search reads only each component's edge order and Euler bound.
+    parts = [(c, _connected_edge_order(c, reduced), _component_euler_bound(c, reduced))
+             for c in _components(reduced)]
+    del reduced
 
     lower = 0
     upper = 0  # None once some component has no embedding yet
     all_exact = True
     combined: dict[int, list[int]] = {}
-    for comp in _components(reduced):
-        lo, up, rot, exact = _solve_component(comp, reduced, budget)
+    for comp, edges, euler in parts:
+        lo, up, rot, exact = _solve_component(comp, edges, euler, budget)
         lower += lo
         upper = None if upper is None or up is None else upper + up
         if rot is not None:

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from annigraph.cli import main
+from annigraph.genus import genus_exact
+from annigraph.graphs import complete_graph
 from annigraph.rings import make_zn, ring_to_json, validate_ring
 from annigraph.specs import (
     CORPUS_SPEC_STRINGS,
@@ -135,6 +137,7 @@ def test_genus_subcommand(capsys):
     payload = json.loads(out)
     assert payload["status"] == "exact" and payload["upper"] == 1
     assert payload["witness"] is not None
+    assert payload["nodes"] == genus_exact(complete_graph(5)).nodes
 
 
 def test_genus_budget_exit_code(capsys):
@@ -511,7 +514,7 @@ GENUS_ARGVS = [("cat:k5",), ("cat:km:3:3",), ("cat:k7",), ("zn:12",),
                ("cat:k46", "--budget-nodes", "2000")]
 GENUS_DIGESTS = {
     "text": "0da82e6dfae6a63eec5a62bc46c0aef7dc1fc7e3b4b7a49cd0c7751d763f5066",
-    "json": "a70510cc5d1c5ca48f0999dbdb45d666b0966bb80e763b8bb0db7e772ebb0d19",
+    "json": "e4dfdab296c68f9aa6a9fe51353f98a8916b6a62ca59231d2111254a97f9ae60",
 }
 
 

@@ -22,6 +22,7 @@ from conftest import (
     genus_exact_whole,
     genus_formula_bipartite,
     genus_formula_complete,
+    neighbour_sets,
     rotation_count,
 )
 
@@ -109,6 +110,69 @@ def test_verify_embedding_rejects_inconsistent_rotation():
         verify_embedding(k4, ((1, 2), (0, 2, 3), (0, 1, 3), (0, 1, 2)))
     with pytest.raises(EmbeddingError):
         verify_embedding(k4, ((1, 2, 2), (0, 2, 3), (0, 1, 3), (0, 1, 2)))
+
+
+def sorted_dart_verify_embedding(g, rotation) -> int:
+    """The former ``verify_embedding``, which traced each face from its least
+    dart in a sorted list of all 2E darts."""
+    n = g.n_vertices
+    if len(rotation) != n:
+        raise EmbeddingError(f"rotation covers {len(rotation)} vertices, graph has {n}")
+    adj = genus._neighbours(g)
+    pos = []
+    for v in range(n):
+        cyc = tuple(rotation[v])
+        if sorted(cyc) != sorted(adj[v]):
+            raise EmbeddingError(f"rotation at vertex {v} does not match its neighbors")
+        pos.append({u: k for k, u in enumerate(cyc)})
+
+    # Each face starts at its least dart: sweep the sorted darts and trace
+    # a face from every dart that no earlier face went through.
+    traced = set()
+    faces_in = [0] * n
+    for start in sorted(d for u, v in g.edges for d in ((u, v), (v, u))):
+        if start in traced:
+            continue
+        faces_in[start[0]] += 1
+        d = start
+        while d not in traced:
+            traced.add(d)
+            u, v = d
+            cyc = rotation[v]
+            d = (v, cyc[(pos[v][u] + 1) % len(cyc)])
+
+    total = 0
+    for comp in genus._components(adj):
+        nv = len(comp)
+        ne = sum(len(adj[v]) for v in comp) // 2
+        nf = sum(faces_in[v] for v in comp) if ne else 1
+        chi = nv - ne + nf
+        if chi % 2 or chi > 2:
+            raise EmbeddingError(f"face tracing gave Euler characteristic {chi} "
+                                 f"on a component with {nv} vertices")
+        total += (2 - chi) // 2
+    return total
+
+
+@st.composite
+def rotation_systems(draw):
+    """A graph on at most 9 vertices and a rotation system of it, each
+    neighbour list shuffled.  Edges are drawn inside up to three vertex
+    blocks, so the graph is often disconnected and has isolated vertices."""
+    n = draw(st.integers(0, 9))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+    block = [sum(v >= c for c in cuts) for v in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if block[a] == block[b]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = simple_graph([str(v) for v in range(n)], [e for e, k in zip(pairs, keep) if k])
+    return g, tuple(tuple(draw(st.permutations(sorted(ns)))) for ns in neighbour_sets(g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_systems())
+def test_verify_embedding_matches_sorted_dart_oracle(system):
+    g, rotation = system
+    assert verify_embedding(g, rotation) == sorted_dart_verify_embedding(g, rotation)
 
 
 def test_planarity_fixtures():
