@@ -334,10 +334,23 @@ class _EmbeddingSearch:
     The stack holds one generator per placed edge, so the depth is bounded
     by memory, not by the interpreter's recursion limit.  A level's
     generator applies its next candidate move, yields, and undoes the move
-    when it is resumed; ``run`` counts one node per move yielded.  Face ids
-    are only compared for equality: a component's opening edge and a split
-    use the number of the new dart as the fresh id, which no other live face
-    can hold.
+    when it is resumed; ``run`` counts one node per move yielded.  Which
+    generator a level runs is the edge's byte in ``kind``, fixed by the edge
+    order alone: 0 opens a component, 1 adds the new endpoint v, 2 joins two
+    embedded endpoints.  Candidates come in a fixed order: pendant corners
+    by the darts at u; corner pairs on a common face (x over the darts at u,
+    y over those at v); then, while merges remain, pairs on different faces
+    in the same order.  Dart lists are iterated in place: every move is
+    undone before its iterator advances.
+
+    Face ids are only compared for equality, so which side of a move is
+    relabelled changes no candidate and no node count; each move relabels
+    the side that is usually shorter.  An opening edge and a split use the
+    number of the new dart a as the fresh id, which no other live face can
+    hold.  A split gives it to the face through a; a merge keeps y's face id
+    and relabels x's darts, walked from the corner after x.  On AG(Z4^4) cut
+    at 200,000 nodes that walks, a node, 14.9 darts against 16.9 through b,
+    and 1.1 against 5.7 on y's face (7.4 against 12.7 splitting on AG(Z2^5)).
 
     The mirror rule: ``mirror`` is the first edge at which an endpoint
     already has two darts, fixed by the edge order alone.  Before it every
@@ -368,6 +381,15 @@ class _EmbeddingSearch:
                 break
             darts[u] += 1
             darts[v] += 1
+        # Each edge's move kind; every edge after the last new vertex joins.
+        kind = self.kind = bytearray(b"\x02") * len(edges)
+        seen = set()
+        for ei, (u, v) in enumerate(edges):
+            if v not in seen:
+                kind[ei] = 1 if u in seen else 0
+            seen.update((u, v))
+            if len(seen) == len(self.darts_at):
+                break
 
     def run(self, target):
         self.target = float("inf") if target is None else target
@@ -379,7 +401,9 @@ class _EmbeddingSearch:
         limit = float("inf") if budget.limit is None else budget.limit
         deadline = budget.deadline
         nodes = budget.nodes
-        stack = [self._moves(0)]
+        kind = self.kind
+        moves = (self._open, self._pendant, self._join)
+        stack = [moves[kind[0]](0)]
         try:
             while stack:
                 if next(stack[-1], False):
@@ -389,9 +413,10 @@ class _EmbeddingSearch:
                     if (deadline is not None and not nodes % 256
                             and time.monotonic() > deadline):
                         raise BudgetExceeded
-                    if len(stack) == depth:
+                    ei = len(stack)
+                    if ei == depth:
                         return self._extract(), self.genus_used
-                    stack.append(self._moves(len(stack)))
+                    stack.append(moves[kind[ei]](ei))
                 else:
                     stack.pop()
             return None, None
@@ -409,15 +434,21 @@ class _EmbeddingSearch:
                 d = self.rot_next[d]
         return rot
 
-    def _moves(self, ei):
-        """The candidate moves for edge ``ei``, applied one at a time.
+    def _open(self, ei):
+        # A component's opening edge: a two-sided single face.
+        u, v = self.edges[ei]
+        a = 2 * ei
+        self.rot_next[a] = self.face[a] = self.face[a + 1] = a
+        self.rot_next[a + 1] = a + 1
+        self.darts_at[u].append(a)
+        self.darts_at[v].append(a + 1)
+        yield True
+        self.darts_at[u].pop()
+        self.darts_at[v].pop()
 
-        Order: the opening edge of a component; pendant corners in the order
-        of the darts at u; corner pairs on a common face (x over the darts
-        at u, y over those at v); then, while merges remain, pairs on
-        different faces in the same order.  Lists of darts are iterated in
-        place: every move is undone before its iterator advances.
-        """
+    def _pendant(self, ei):
+        # v is new; the chosen corner's face absorbs both darts, so the face
+        # count is unchanged.  At the mirror edge u is the endpoint with two.
         u, v = self.edges[ei]
         a = 2 * ei
         b = a + 1
@@ -425,8 +456,31 @@ class _EmbeddingSearch:
         face = self.face
         du = self.darts_at[u]
         dv = self.darts_at[v]
-        # Corners to try: at the mirror edge, only the first one of the
-        # endpoint that has two darts.
+        rot[b] = b
+        dv.append(b)
+        for x in (du[:1] if ei == self.mirror[0] else du):
+            sx = rot[x]
+            rot[x] = a
+            rot[a] = sx
+            face[a] = face[b] = face[x ^ 1]
+            du.append(a)
+            yield True
+            du.pop()
+            rot[x] = sx
+        dv.pop()
+
+    def _join(self, ei):
+        # Both endpoints embedded.  The corner after dart x lies on face
+        # face[x ^ 1].  A same-face pair splits that face (genus kept); a
+        # cross-face pair merges two faces (genus + 1).  The darts at v are
+        # grouped by face once; pairs are formed only when tried.
+        u, v = self.edges[ei]
+        a = 2 * ei
+        b = a + 1
+        rot = self.rot_next
+        face = self.face
+        du = self.darts_at[u]
+        dv = self.darts_at[v]
         xs = du
         ys = dv
         if ei == self.mirror[0]:
@@ -434,46 +488,18 @@ class _EmbeddingSearch:
                 ys = dv[:1]
             else:
                 xs = du[:1]
-
-        if not du and not dv:
-            # Opening edge of a component: a two-sided single face.
-            rot[a] = a
-            rot[b] = b
-            face[a] = face[b] = a
-            du.append(a)
-            dv.append(b)
-            yield True
-            du.pop()
-            dv.pop()
-            return
-
-        if not dv:
-            # Pendant insertion: v is new; the chosen corner's face absorbs
-            # both darts, so the face count is unchanged.
-            for x in xs:
-                sx = rot[x]
-                rot[x] = a
-                rot[a] = sx
-                rot[b] = b
-                face[a] = face[b] = face[x ^ 1]
-                du.append(a)
-                dv.append(b)
-                yield True
-                du.pop()
-                dv.pop()
-                rot[x] = sx
-            return
-
-        # Both endpoints embedded.  The corner after dart x lies on face
-        # face[x ^ 1].  A same-face pair splits that face (genus kept); a
-        # cross-face pair merges two faces (genus + 1).  The darts at v are
-        # grouped by face once; pairs are formed only when tried.
         by_face = {}
         for y in ys:
-            by_face.setdefault(face[y ^ 1], []).append(y)
+            fy = face[y ^ 1]
+            if fy in by_face:
+                by_face[fy].append(y)
+            else:
+                by_face[fy] = [y]
         for x in xs:
             fx = face[x ^ 1]
-            for y in by_face.get(fx, ()):
+            if fx not in by_face:
+                continue
+            for y in by_face[fx]:
                 sx = rot[x]
                 sy = rot[y]
                 rot[x] = a
@@ -482,21 +508,19 @@ class _EmbeddingSearch:
                 rot[b] = sy
                 du.append(a)
                 dv.append(b)
-                # The face through a keeps fx; the one through b is new.
-                face[a] = fx
-                d = b
-                while True:
-                    face[d] = b
+                # The face through b (b, then sx onward) keeps fx; the one
+                # through a (a, then sy onward) takes the fresh id a.
+                face[a] = a
+                face[b] = fx
+                d = sy
+                while d != a:
+                    face[d] = a
                     d = rot[d ^ 1]
-                    if d == b:
-                        break
                 yield True
-                d = b
-                while True:
+                d = sy
+                while d != a:
                     face[d] = fx
                     d = rot[d ^ 1]
-                    if d == b:
-                        break
                 du.pop()
                 dv.pop()
                 rot[y] = sy
@@ -519,18 +543,18 @@ class _EmbeddingSearch:
                 du.append(a)
                 dv.append(b)
                 # The merged face runs a, then fy's darts from sy, then b,
-                # then fx's darts; only fy's darts are relabelled.
-                face[a] = face[b] = fx
-                d = sy
-                while d != b:
-                    face[d] = fx
+                # then fx's darts from sx; only fx's darts are relabelled.
+                face[a] = face[b] = fy
+                d = sx
+                while d != a:
+                    face[d] = fy
                     d = rot[d ^ 1]
                 self.genus_used += 1
                 yield True
                 self.genus_used -= 1
-                d = sy
-                while d != b:
-                    face[d] = fy
+                d = sx
+                while d != a:
+                    face[d] = fx
                     d = rot[d ^ 1]
                 du.pop()
                 dv.pop()

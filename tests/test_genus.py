@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -7,7 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from annigraph import genus
 from annigraph.genus import (
     EmbeddingError,
+    _Budget,
     _connected_edge_order,
+    _EmbeddingSearch,
     euler_lower_bound,
     genus_exact,
     is_planar,
@@ -592,6 +595,65 @@ def sorted_edge_order(verts, adj):
 def test_connected_edge_order_matches_sorted_oracle(graph):
     labels, adj = graph
     assert _connected_edge_order(labels, adj) == sorted_edge_order(labels, adj)
+
+
+def assert_faces_match_tracing(search):
+    """Two darts share a ``face`` id exactly when tracing ``rot_next`` puts
+    them on the same face: d is followed by rot_next[d ^ 1]."""
+    rot, face = search.rot_next, search.face
+    orbit = [-1] * len(rot)
+    for start in range(len(rot)):
+        if orbit[start] < 0:
+            d = start
+            while orbit[d] < 0:
+                orbit[d] = start
+                d = rot[d ^ 1]
+    assert -1 not in face
+    pairs = set(zip(orbit, face))
+    assert len(pairs) == len(set(orbit)) == len(set(face))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_search_face_labels_match_traced_faces(graph):
+    # Every returned embedding has one face id per traced face, and a rung
+    # that finds nothing leaves every dart list empty.  A budget keeps the
+    # dense draws cheap; a rung it cuts is not checked.
+    labels, adj = graph
+    edges = _connected_edge_order(labels, adj)
+    budget = _Budget(20_000, None)
+    search = _EmbeddingSearch(labels, edges, budget)
+    rot, upper = search.run(None)
+    assert rot is not None
+    assert_faces_match_tracing(search)
+    for target in range(upper - 1, -1, -1):
+        budget.nodes = 0
+        try:
+            found, genus_found = search.run(target)
+        except genus.BudgetExceeded:
+            break
+        if found is None:
+            assert not any(search.darts_at.values())
+            break
+        assert genus_found <= target
+        assert_faces_match_tracing(search)
+
+
+@pytest.mark.parametrize("spec,expected,digest", [
+    ("prod:(zn:2,prod:(zn:2,prod:(zn:2,prod:(zn:2,zn:2))))",
+     ("budget_exhausted", 3, 21, 20_001),
+     "40077ba04f224c00b30a955b0afeecc0f9568d5d3e1953008f821de30211815c"),
+    ("prod:(zn:4,prod:(zn:4,prod:(zn:4,zn:4)))",
+     ("budget_exhausted", 58, 154, 20_001),
+     "625563c4396da2cd7d33fe1f327504f92b372a33f010c43fa4f68bedbca58922"),
+])
+def test_cut_search_on_large_face_ags_is_pinned(spec, expected, digest):
+    # AG(Z2^5) and AG(Z4^4) have the longest faces of the benchmark graphs,
+    # so they exercise face relabelling most; the cut search's bounds, node
+    # count and witness are fixed by the graph and the budget alone.
+    res = genus_exact(ag_of(spec), node_budget=20_000)
+    assert (res.status, res.lower, res.upper, res.nodes) == expected
+    assert hashlib.sha256(repr(res.witness).encode()).hexdigest() == digest
 
 
 @st.composite
