@@ -10,10 +10,12 @@ if both corners lie on the same face the face splits (genus unchanged), and
 if they lie on different faces the faces merge (genus grows by one).  Corner
 choices enumerate each rotation system exactly once, cyclic symmetry
 included, so exhausting the search at merge budget g-1 proves genus >= g.
-Mirror images are searched only once: up to the first edge at which an
-endpoint already has two darts, every vertex has at most two, so the partial
-embedding is its own mirror image, and the two corners of that endpoint root
-subtrees that mirror each other at equal genus; only the first is tried.
+Mirror images are searched only once.  The search reads the graph as one
+flat dart table in a BFS edge order whose root, of highest degree, leads
+with its tree edges: up to the root's third edge every vertex has at most
+two darts, so the partial embedding is its own mirror image; of the root's
+two corners there, whose subtrees mirror each other at equal genus, only
+the first is tried.
 `genus_exact` deletes degree-0/1 vertices, suppresses a degree-2 vertex whose
 neighbors are not adjacent and deletes one whose neighbors are (the
 triangle rule), splits into connected components (genus adds over
@@ -296,12 +298,14 @@ def _restore_rotation(rot: dict[int, list[int]], records) -> dict[int, list[int]
 
 
 def _connected_edge_order(verts, adj):
-    """BFS edge order, each edge from its earlier to its later vertex: the
-    |V|-1 tree edges (parent[w], w) in BFS order (each attaching a new
-    vertex), then the rest by (later, earlier) position, so early vertices
-    complete first.  The BFS starts at the first vertex by (-degree, label)
-    and visits neighbours in that rank.  Scanning the earlier endpoints in
-    BFS order fills each later vertex's list already in order."""
+    """BFS edge order as a flat dart table: edge i runs from ``ends[2i]``,
+    its earlier vertex, to ``ends[2i+1]``, so dart d runs from ``ends[d]``
+    to ``ends[d ^ 1]``.  The |V|-1 tree edges (parent[w], w) come first in
+    BFS order (each attaching a new vertex), then the rest by (later,
+    earlier) position, so early vertices complete first.  The BFS starts
+    at the first vertex by (-degree, label) and visits neighbours in that
+    rank.  Scanning the earlier endpoints in BFS order fills each later
+    vertex's list already in order."""
     ranked = sorted(verts, key=lambda v: (-len(adj[v]), v))
     rank = {v: i for i, v in enumerate(ranked)}
     order = {ranked[0]: 0}
@@ -317,19 +321,19 @@ def _connected_edge_order(verts, adj):
     for pos, u in enumerate(queue):
         for w in adj[u]:
             if pos < order[w] and parent[w] != u:
-                later[w].append((u, w))
-    return [(parent[w], w) for w in queue[1:]] + [e for w in queue for e in later[w]]
+                later[w].append(u)
+    return [x for w in queue[1:] for x in (parent[w], w)] + [
+        x for w in queue for u in later[w] for x in (u, w)]
 
 
 class _EmbeddingSearch:
-    """Depth-first search over corner insertions for a fixed ordered edge list.
+    """Depth-first search over corner insertions for a fixed edge order.
 
-    The edge list may span several components; each component's first edge
-    opens a fresh face, and every vertex in ``verts`` must have an edge.  It
-    runs in the caller's vertex ids on ``edges`` itself, not a copy: dart 2i
-    is edge i from its first endpoint, 2i+1 its reverse, and ``head`` holds
-    each dart's target.  ``run`` returns (rotation, genus) for the first
-    embedding found with at most ``target`` face merges, or (None, None).
+    The graph is the dart table ``ends`` of ``_connected_edge_order``,
+    read in place; it may span several components, each in its own order,
+    and each component's first edge opens a fresh face.  ``run`` returns
+    (rotation, genus) for the first embedding found with at most
+    ``target`` face merges, or (None, None).
 
     The stack holds one generator per placed edge, so the depth is bounded
     by memory, not by the interpreter's recursion limit.  A level's
@@ -353,50 +357,50 @@ class _EmbeddingSearch:
     and 1.1 against 5.7 on y's face (7.4 against 12.7 splitting on AG(Z2^5)).
 
     The mirror rule: ``mirror`` is the first edge at which an endpoint
-    already has two darts, fixed by the edge order alone.  Before it every
-    vertex has at most two darts, so the partial rotation equals its mirror
-    image, and the two corners of that endpoint root mirror-image subtrees
-    of equal genus.  At that edge only the corner after its first dart is
-    tried, which about halves an exhausted rung.
+    already has two darts (-1 if none), fixed by the edge order alone.
+    Before it every vertex has at most two darts, so the partial rotation
+    equals its mirror image, and the two corners of that endpoint root
+    mirror-image subtrees of equal genus.  ``_pendant`` tries only the
+    corner after u's first dart there, which about halves an exhausted
+    rung.  The BFS order's root has the highest degree and its tree edges
+    lead, so whenever a degree is 3 or more the mirror edge is edge 2, the
+    root's third, and ``_join`` never meets it (in an order where it would,
+    trying every corner there stays sound).
     """
 
-    def __init__(self, verts, edges, budget):
-        self.edges = edges
-        self.head = []
-        for u, v in edges:
-            self.head.extend((v, u))
-        self.rot_next = [-1] * len(self.head)
-        self.face = [-1] * len(self.head)
-        self.darts_at = {v: [] for v in verts}
+    def __init__(self, ends, budget):
+        self.ends = ends
+        self.rot_next = [-1] * len(ends)
+        self.face = [-1] * len(ends)
+        self.darts_at = {v: [] for v in dict.fromkeys(ends)}
         self.budget = budget
         self.genus_used = 0
         self.target = 0
-        # The mirror edge: the first edge with an endpoint that already has
-        # two darts, and which endpoint (0 for u, 1 for v); (-1, 0) if none.
-        self.mirror = (-1, 0)
-        darts = dict.fromkeys(verts, 0)
-        for ei, (u, v) in enumerate(edges):
-            if darts[u] == 2 or darts[v] == 2:
-                self.mirror = (ei, int(darts[u] != 2))
+        # One pass up to the last new vertex: each edge's move kind (every
+        # later edge joins) and the mirror edge.
+        kind = self.kind = bytearray(b"\x02") * (len(ends) // 2)
+        self.mirror = -1
+        darts = dict.fromkeys(self.darts_at, 0)
+        unseen = len(darts)
+        pairs = iter(ends)
+        for ei, (u, v) in enumerate(zip(pairs, pairs)):
+            du, dv = darts[u], darts[v]
+            if self.mirror < 0 and 2 in (du, dv):
+                self.mirror = ei
+            if not dv:
+                kind[ei] = 1 if du else 0
+            unseen -= (not du) + (not dv)
+            if not unseen:
                 break
-            darts[u] += 1
-            darts[v] += 1
-        # Each edge's move kind; every edge after the last new vertex joins.
-        kind = self.kind = bytearray(b"\x02") * len(edges)
-        seen = set()
-        for ei, (u, v) in enumerate(edges):
-            if v not in seen:
-                kind[ei] = 1 if u in seen else 0
-            seen.update((u, v))
-            if len(seen) == len(self.darts_at):
-                break
+            darts[u] = du + 1
+            darts[v] = dv + 1
 
     def run(self, target):
         self.target = float("inf") if target is None else target
         self.genus_used = 0
         for lst in self.darts_at.values():
             lst.clear()
-        depth = len(self.edges)
+        depth = len(self.kind)
         budget = self.budget
         limit = float("inf") if budget.limit is None else budget.limit
         deadline = budget.deadline
@@ -424,20 +428,21 @@ class _EmbeddingSearch:
             budget.nodes = nodes
 
     def _extract(self):
+        ends = self.ends
         rot = {}
         for v, darts in self.darts_at.items():
             start = darts[0]
-            cyc = rot[v] = [self.head[start]]
+            cyc = rot[v] = [ends[start ^ 1]]
             d = self.rot_next[start]
             while d != start:
-                cyc.append(self.head[d])
+                cyc.append(ends[d ^ 1])
                 d = self.rot_next[d]
         return rot
 
     def _open(self, ei):
         # A component's opening edge: a two-sided single face.
-        u, v = self.edges[ei]
         a = 2 * ei
+        u, v = self.ends[a], self.ends[a + 1]
         self.rot_next[a] = self.face[a] = self.face[a + 1] = a
         self.rot_next[a + 1] = a + 1
         self.darts_at[u].append(a)
@@ -449,16 +454,16 @@ class _EmbeddingSearch:
     def _pendant(self, ei):
         # v is new; the chosen corner's face absorbs both darts, so the face
         # count is unchanged.  At the mirror edge u is the endpoint with two.
-        u, v = self.edges[ei]
         a = 2 * ei
         b = a + 1
+        u, v = self.ends[a], self.ends[b]
         rot = self.rot_next
         face = self.face
         du = self.darts_at[u]
         dv = self.darts_at[v]
         rot[b] = b
         dv.append(b)
-        for x in (du[:1] if ei == self.mirror[0] else du):
+        for x in (du[:1] if ei == self.mirror else du):
             sx = rot[x]
             rot[x] = a
             rot[a] = sx
@@ -474,28 +479,21 @@ class _EmbeddingSearch:
         # face[x ^ 1].  A same-face pair splits that face (genus kept); a
         # cross-face pair merges two faces (genus + 1).  The darts at v are
         # grouped by face once; pairs are formed only when tried.
-        u, v = self.edges[ei]
         a = 2 * ei
         b = a + 1
+        u, v = self.ends[a], self.ends[b]
         rot = self.rot_next
         face = self.face
         du = self.darts_at[u]
         dv = self.darts_at[v]
-        xs = du
-        ys = dv
-        if ei == self.mirror[0]:
-            if self.mirror[1]:
-                ys = dv[:1]
-            else:
-                xs = du[:1]
         by_face = {}
-        for y in ys:
+        for y in dv:
             fy = face[y ^ 1]
             if fy in by_face:
                 by_face[fy].append(y)
             else:
                 by_face[fy] = [y]
-        for x in xs:
+        for x in du:
             fx = face[x ^ 1]
             if fx not in by_face:
                 continue
@@ -528,9 +526,9 @@ class _EmbeddingSearch:
 
         if self.genus_used >= self.target:
             return
-        for x in xs:
+        for x in du:
             fx = face[x ^ 1]
-            for y in ys:
+            for y in dv:
                 fy = face[y ^ 1]
                 if fy == fx:
                     continue
@@ -562,11 +560,12 @@ class _EmbeddingSearch:
                 rot[x] = sx
 
 
-def _solve_component(verts, edges, lower, budget):
+def _solve_component(verts, ends, lower, budget):
     """Exact genus of one connected component, or partial bounds on budget stop.
 
-    ``edges`` is the component's ``_connected_edge_order`` and ``lower`` its
-    Euler bound; no neighbour map is needed.  Returns (lower, upper,
+    ``ends`` is the component's ``_connected_edge_order``, ``verts`` its
+    sorted vertices (read only by the LR test) and ``lower`` its Euler
+    bound; no neighbour map is needed.  Returns (lower, upper,
     rotation, exact).  Where the Euler bound is 0, the LR planarity test
     either returns a planar embedding as the witness, with no search, or
     proves genus >= 1.  A cheap unrestricted first descent supplies the
@@ -575,14 +574,14 @@ def _solve_component(verts, edges, lower, budget):
     whatever the completed rungs proved.
     """
     if lower == 0:
-        planar = _lr_rotation(verts, edges)
+        planar = _lr_rotation(verts, zip(ends[::2], ends[1::2]))
         if planar is not None:
             return 0, 0, planar, True
         lower = 1
     rot = None
     upper = None
     try:
-        search = _EmbeddingSearch(verts, edges, budget)
+        search = _EmbeddingSearch(ends, budget)
         rot, upper = search.run(None)
         target = lower
         while target < upper:
@@ -616,8 +615,8 @@ def genus_exact(g: SimpleGraph, *, node_budget: int | None = DEFAULT_NODE_BUDGET
     upper = 0  # None once some component has no embedding yet
     all_exact = True
     combined: dict[int, list[int]] = {}
-    for comp, edges, euler in parts:
-        lo, up, rot, exact = _solve_component(comp, edges, euler, budget)
+    for comp, ends, euler in parts:
+        lo, up, rot, exact = _solve_component(comp, ends, euler, budget)
         lower += lo
         upper = None if upper is None or up is None else upper + up
         if rot is not None:

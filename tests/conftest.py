@@ -271,8 +271,8 @@ def genus_exact_whole(g) -> GenusResult:
     budget = _Budget(None, None)
     adj = _neighbours(g)
     comps = [c for c in _components(adj) if len(c) > 1]
-    edges = [e for comp in comps for e in _connected_edge_order(comp, adj)]
-    search = _EmbeddingSearch([v for comp in comps for v in comp], edges, budget)
+    ends = [x for comp in comps for x in _connected_edge_order(comp, adj)]
+    search = _EmbeddingSearch(ends, budget)
     best, upper = search.run(None)
     for target in range(sum(_component_euler_bound(c, adj) for c in comps), upper):
         found, genus = search.run(target)

@@ -556,7 +556,9 @@ def connected_graphs(draw):
 def test_connected_edge_order_contract(graph):
     labels, adj = graph
     n = len(labels)
-    edges = _connected_edge_order(labels, adj)
+    ends = _connected_edge_order(labels, adj)
+    edges = list(zip(ends[::2], ends[1::2]))
+    assert len(ends) == 2 * len(edges)
     assert sorted(tuple(sorted(e)) for e in edges) == sorted(
         (u, w) for u in adj for w in adj[u] if u < w)
     # Positions in order of first appearance; each of the first |V|-1 edges
@@ -569,6 +571,12 @@ def test_connected_edge_order_contract(graph):
     assert all(pos[u] < pos[w] for u, w in edges)
     rest = [(pos[w], pos[u]) for u, w in edges[n - 1:]]
     assert rest == sorted(rest)
+    # What the search reads off the order alone: an opening edge, the other
+    # tree edges pendant, the rest joins; and the mirror edge is the root's
+    # third tree edge when some degree is 3 or more, else there is none.
+    search = _EmbeddingSearch(ends, _Budget(None, None))
+    assert search.kind == bytes([0] + [1] * (n - 2) + [2] * (len(edges) - n + 1))
+    assert search.mirror == (2 if max(map(len, adj.values())) >= 3 else -1)
 
 
 def sorted_edge_order(verts, adj):
@@ -594,12 +602,16 @@ def sorted_edge_order(verts, adj):
 @given(connected_graphs())
 def test_connected_edge_order_matches_sorted_oracle(graph):
     labels, adj = graph
-    assert _connected_edge_order(labels, adj) == sorted_edge_order(labels, adj)
+    ends = _connected_edge_order(labels, adj)
+    assert list(zip(ends[::2], ends[1::2])) == sorted_edge_order(labels, adj)
 
 
 def assert_faces_match_tracing(search):
     """Two darts share a ``face`` id exactly when tracing ``rot_next`` puts
-    them on the same face: d is followed by rot_next[d ^ 1]."""
+    them on the same face: d is followed by rot_next[d ^ 1].  Every dart
+    listed at v runs from v in the dart table."""
+    assert all(search.ends[d] == v
+               for v, darts in search.darts_at.items() for d in darts)
     rot, face = search.rot_next, search.face
     orbit = [-1] * len(rot)
     for start in range(len(rot)):
@@ -620,9 +632,9 @@ def test_search_face_labels_match_traced_faces(graph):
     # that finds nothing leaves every dart list empty.  A budget keeps the
     # dense draws cheap; a rung it cuts is not checked.
     labels, adj = graph
-    edges = _connected_edge_order(labels, adj)
+    ends = _connected_edge_order(labels, adj)
     budget = _Budget(20_000, None)
-    search = _EmbeddingSearch(labels, edges, budget)
+    search = _EmbeddingSearch(ends, budget)
     rot, upper = search.run(None)
     assert rot is not None
     assert_faces_match_tracing(search)
