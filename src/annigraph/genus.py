@@ -564,17 +564,17 @@ def _solve_component(verts, ends, lower, budget):
     """Exact genus of one connected component, or partial bounds on budget stop.
 
     ``ends`` is the component's ``_connected_edge_order``, ``verts`` its
-    sorted vertices (read only by the LR test) and ``lower`` its Euler
-    bound; no neighbour map is needed.  Returns (lower, upper,
-    rotation, exact).  Where the Euler bound is 0, the LR planarity test
-    either returns a planar embedding as the witness, with no search, or
-    proves genus >= 1.  A cheap unrestricted first descent supplies the
-    initial upper bound and witness; iterative deepening from the lower
-    bound then closes the gap.  On budget exhaustion the bounds keep
-    whatever the completed rungs proved.
+    sorted vertices (read only by the LR test) and ``lower`` its Euler bound.
+    Returns (lower, upper, rotation, exact).  Where the Euler bound is 0, the
+    LR planarity test either returns a planar embedding as the witness, with
+    no search, or proves genus >= 1.  A cheap unrestricted first descent
+    supplies the initial upper bound and witness; iterative deepening from
+    the lower bound then closes the gap.  On budget exhaustion the bounds
+    keep whatever the completed rungs proved.
     """
     if lower == 0:
-        planar = _lr_rotation(verts, zip(ends[::2], ends[1::2]))
+        pairs = iter(ends)
+        planar = _lr_rotation(verts, zip(pairs, pairs))
         if planar is not None:
             return 0, 0, planar, True
         lower = 1
