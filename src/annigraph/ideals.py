@@ -167,12 +167,19 @@ def _row_blocks(n: int, width: int):
 def _least_generators(r: FiniteRing) -> tuple[dict[int, int], np.ndarray]:
     """Each distinct principal ideal's mask -> its least generator, in
     generator order, and for each element x the least generator of Rx.
-    The mask of Rx is the value set of row x of ``mul``."""
+
+    The mask of Rx is the value set of row x of ``mul``: flag n*x + mul[x, y]
+    of one flat n*n array for every y, one scatter per block of rows.  The
+    flat indices fit int32 (n^2 <= 2^24), and a block holds an eighth of
+    the gather cap's entries, so its indices take at most 512 KiB."""
     n = r.size
-    flags = np.zeros((n, n), dtype=bool)
-    for rows in _row_blocks(n, n):
+    flags = np.zeros(n * n, dtype=bool)
+    for rows in _row_blocks(n, 8 * n):
         block = r.mul[rows]
-        flags[rows][np.arange(len(block))[:, None], block] = True
+        start = rows.start * n
+        offsets = np.arange(start, start + block.size, n, dtype=np.int32)
+        flags[block + offsets[:, None]] = True
+    flags = flags.reshape(n, n)
     out = {}
     least = [out.setdefault(mask, x) for x, mask in enumerate(_packed_rows(flags))]
     return out, np.array(least, dtype=np.int64)

@@ -272,6 +272,30 @@ def test_lattice_keeps_principals_and_annihilators():
                                              for i in lattice.ideals)
 
 
+def per_row_least_generators(ring):
+    """The principal masks and least generators one row at a time: Rx is
+    the value set of row x of ``mul``, and x is least when no smaller
+    element gave the same mask."""
+    principals, least = {}, []
+    for x, row in enumerate(ring.mul.tolist()):
+        least.append(principals.setdefault(mask(set(row)), x))
+    return principals, least
+
+
+@pytest.mark.parametrize("spec", [
+    "zn:2", "zn:12", "zn:36", "zn:97", "zn:1000", "zn:1024",
+    "prod:(zn:4,zn:6)", "prod:(zn:2,prod:(zn:3,cat:f4))", "prod:(zn:8,zn:128)",
+    "polyq:2:0,0,0,1",
+])
+def test_least_generators_match_per_row_oracle(spec):
+    # zn:1024 and the 1024-element product span several scatter blocks.
+    ring = parse_ring_spec(spec).build()
+    principals, least = ideals._least_generators(ring)
+    want_principals, want_least = per_row_least_generators(ring)
+    assert list(principals.items()) == list(want_principals.items())
+    assert least.tolist() == want_least
+
+
 def _named_by_search(ideal, lattice):
     """What name_ideal means: the first generator, then the first pair a < b
     of nonzero members with Ra + Rb = I, by exhaustive search."""

@@ -258,13 +258,90 @@ def test_validate_agrees_with_brute_oracle_on_perturbed_tables(data):
     for _ in range(data.draw(st.integers(1, 2))):
         table = tables[data.draw(st.sampled_from(["add", "mul"]))]
         i, j, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
-        table[i, j] = table[j, i] = v
+        table[i, j] = v
+        if data.draw(st.booleans()):
+            table[j, i] = v
     bad = FiniteRing(size=n, add=tables["add"], mul=tables["mul"])
     report, oracle = validate_ring(bad), brute_validate(bad)
     assert (report.ok, report.axiom) == (oracle.ok, oracle.axiom)
     if not report.ok:
         assert violates(bad, report.axiom, report.witness)
         assert violates(bad, oracle.axiom, oracle.witness)
+
+
+def whole_table_first_mismatch(left: np.ndarray, right: np.ndarray):
+    """validate_ring's commutativity check as ``_first_mismatch(T, T.T)``
+    over the whole table, before the tiled check; the oracle for it."""
+    differ = left != right
+    if not differ.any():
+        return None
+    return tuple(int(x) for x in np.argwhere(differ)[0])
+
+
+def planted_edit_sets(n: int, rng) -> list[list[tuple[int, int]]]:
+    """Sets of one to three cells (i, j), i != j, no two on mirror cells:
+    fixed ones on the borders of the 128-square tiles, inside the diagonal
+    block and left of it, then random ones drawn half from border rows."""
+    fixed = [[(0, 1)], [(n - 1, n - 2)], [(1, 0), (0, n - 1)]]
+    if n > 129:
+        fixed += [[(127, 128)], [(128, 127)], [(129, 5)], [(130, 129)],
+                  [(200, 3), (127, 250), (128, 129)], [(n - 1, 127)]]
+    border = [x for x in (0, 1, 2, 126, 127, 128, 129, 254, 255, 256, n - 2, n - 1)
+              if x < n]
+    for _ in range(12):
+        fixed.append([tuple(int(rng.choice(border)) if rng.random() < 0.5
+                            else int(rng.integers(n)) for _ in range(2))
+                      for _ in range(rng.integers(1, 4))])
+    out = []
+    for cells in fixed:
+        kept = []
+        for i, j in cells:
+            if i != j and all({i, j} != {a, b} for a, b in kept):
+                kept.append((i, j))
+        out.append(kept)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 255, 257, 1024])
+def test_commutativity_witness_matches_whole_table_oracle(n):
+    # Asymmetric edits to Z_n that keep every earlier pair axiom: no add
+    # edit in row 0 or on a row's zero, no mul edit in row 1.  Each edited
+    # cell differs from its untouched mirror, so the table is asymmetric.
+    rng = np.random.default_rng(n)
+    ring = make_zn(n)
+    checked = 0
+    for name, skip_row in (("add", 0), ("mul", 1)):
+        for cells in planted_edit_sets(n, rng):
+            tables = {"add": ring.add.copy(), "mul": ring.mul.copy()}
+            table = tables[name]
+            cells = [(i, j) for i, j in cells
+                     if i != skip_row and not (name == "add" and table[i, j] == 0)]
+            if not cells:
+                continue
+            for i, j in cells:
+                table[i, j] = (table[j, i] + 1 + rng.integers(n - 1)) % n
+            bad = FiniteRing(size=n, add=tables["add"], mul=tables["mul"])
+            report = validate_ring(bad)
+            want = whole_table_first_mismatch(table, table.T)
+            assert want is not None
+            assert (report.ok, report.axiom, report.witness) \
+                == (False, f"{name}_commutative", want), cells
+            checked += 1
+    assert checked >= 10
+
+
+def test_zn_tables_are_owned_modular_arithmetic():
+    for n in [*range(2, 71), 1023, 1024, 1031]:
+        r = make_zn(n)
+        i = np.arange(n)
+        assert np.array_equal(r.add, (i[:, None] + i) % n)
+        assert np.array_equal(r.mul, (i[:, None] * i) % n)
+        # a + (n - a) = 0: row a has its zero at column (n - a) % n.
+        assert np.array_equal(r.add[i, (n - i) % n], np.zeros(n))
+        for table in (r.add, r.mul):
+            assert table.dtype == np.int32 and table.shape == (n, n)
+            assert table.flags.c_contiguous and not table.flags.writeable
+            assert table.flags.owndata and table.base is None
 
 
 def test_constructors_are_deterministic():
