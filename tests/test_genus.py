@@ -390,19 +390,29 @@ def test_edge_deletion_never_increases_genus():
         assert genus_exact(sub).upper == 0  # K_5 minus any edge is planar
 
 
-@pytest.mark.parametrize("graph,nodes", [
-    (lambda: complete_graph(8), 8_913),
-    (lambda: complete_graph(9), 12_693),
-    (lambda: hypercube(4), 15_376),
-])
-def test_search_order_node_counts_are_pinned(graph, nodes):
-    # Euler bound >= 1 on all three, so the planarity rung never fires and
-    # the count measures the corner search and its candidate order alone.
+@pytest.mark.parametrize("graph,nodes,digest", [
+    (lambda: complete_graph(8), 8_913,
+     "441dfec41bde101d4e80519c36522b5a1cd22aea5b3d8f72d16421a6867e43b3"),
+    (lambda: complete_graph(9), 12_693,
+     "681144158754b608a26df04ed23ecd45e4fb1d07b3d1f48d63fcbbbf7e1a95bc"),
+    (lambda: hypercube(4), 15_376,
+     "cf92852391afa1873a4f3070138bc84a010ad2fc21d424c9b3b7eb7b87485666"),
+    (lambda: desargues_graph(), 2_424,
+     "8fceb3b7f99b776a577d26f6ec1ab756fa96e89814e4afe637598c162ba1898e"),
+    (lambda: pappus_graph(), 965,
+     "f0116bca1027779df04ebd7d99f20e1d08aeffe3f49a3df5731d6abc6e87a40e"),
+], ids=["K8", "K9", "Q4", "Desargues", "Pappus"])
+def test_search_order_node_counts_are_pinned(graph, nodes, digest):
+    # The planarity rung finds no embedding on any of them: K8, K9 and Q4
+    # have an Euler bound >= 1, and Desargues and Pappus are non-planar, so
+    # the LR test only proves genus >= 1.  The node count and the witness
+    # therefore measure the corner search and its candidate order alone.
     g = graph()
-    assert euler_lower_bound(g) >= 1
+    assert euler_lower_bound(g) >= 1 or not is_planar(g)
     res = genus_exact(g)
     assert res.exact and res.nodes == nodes
     assert verify_embedding(g, res.witness) == res.upper
+    assert hashlib.sha256(repr(res.witness).encode()).hexdigest() == digest
 
 
 def desargues_graph():
@@ -413,6 +423,14 @@ def desargues_graph():
         + [(i, i + 10) for i in range(10)]
         + [(10 + i, 10 + (i + 3) % 10) for i in range(10)],
     )
+
+
+def pappus_graph():
+    # LCF notation [5, 7, -7, 7, -7, -5]^3: 18 vertices, cubic, genus 1.
+    lcf = [5, 7, -7, 7, -7, -5]
+    edges = {tuple(sorted((i, (i + k) % 18))) for i in range(18)
+             for k in (1, lcf[i % 6])}
+    return simple_graph([str(i) for i in range(18)], sorted(edges))
 
 
 def test_mirror_rule_node_count_on_exhausted_rung():
