@@ -335,6 +335,15 @@ class _EmbeddingSearch:
     (rotation, genus) for the first embedding found with at most
     ``target`` face merges, or (None, None).
 
+    The partial embedding is stored as its face permutation: ``phi[d]`` is
+    the dart after d on its face, the rotation's successor of d ^ 1 (faces
+    are the orbits of the rotation composed with the edge involution), and
+    ``face[d]`` is the id of that face.  ``darts_at[v]`` lists the corners
+    at v, each named by the dart c into v that enters it; the corner lies
+    on face ``face[c]``, and an edge put there runs between c and
+    ``phi[c]``.  So a face read is one lookup, a relabel step is
+    ``d = phi[d]``, and a move writes four entries of ``phi``.
+
     The stack holds one generator per placed edge, so the depth is bounded
     by memory, not by the interpreter's recursion limit.  A level's
     generator applies its next candidate move, yields, and undoes the move
@@ -342,35 +351,36 @@ class _EmbeddingSearch:
     generator a level runs is the edge's byte in ``kind``, fixed by the edge
     order alone: 0 opens a component, 1 adds the new endpoint v, 2 joins two
     embedded endpoints.  Candidates come in a fixed order: pendant corners
-    by the darts at u; corner pairs on a common face (x over the darts at u,
-    y over those at v); then, while merges remain, pairs on different faces
-    in the same order.  Dart lists are iterated in place: every move is
-    undone before its iterator advances.
+    by the corners at u; corner pairs on a common face (cx over the corners
+    at u, cy over those at v); then, while merges remain, pairs on
+    different faces in the same order.  Corner lists are iterated in place:
+    every move is undone before its iterator advances.
 
     Face ids are only compared for equality, so which side of a move is
     relabelled changes no candidate and no node count; each move relabels
     the side that is usually shorter.  An opening edge and a split use the
     number of the new dart a as the fresh id, which no other live face can
-    hold.  A split gives it to the face through a; a merge keeps y's face id
-    and relabels x's darts, walked from the corner after x.  On AG(Z4^4) cut
+    hold.  A split gives it to the face through a; a merge keeps cy's face
+    id and relabels cx's darts, walked from ``phi[cx]``.  On AG(Z4^4) cut
     at 200,000 nodes that walks, a node, 14.9 darts against 16.9 through b,
-    and 1.1 against 5.7 on y's face (7.4 against 12.7 splitting on AG(Z2^5)).
+    and 1.1 against 5.7 on cy's face (7.4 against 12.7 splitting on
+    AG(Z2^5)).
 
     The mirror rule: ``mirror`` is the first edge at which an endpoint
     already has two darts (-1 if none), fixed by the edge order alone.
     Before it every vertex has at most two darts, so the partial rotation
     equals its mirror image, and the two corners of that endpoint root
-    mirror-image subtrees of equal genus.  ``_pendant`` tries only the
-    corner after u's first dart there, which about halves an exhausted
-    rung.  The BFS order's root has the highest degree and its tree edges
-    lead, so whenever a degree is 3 or more the mirror edge is edge 2, the
-    root's third, and ``_join`` never meets it (in an order where it would,
-    trying every corner there stays sound).
+    mirror-image subtrees of equal genus.  ``_pendant`` tries only u's
+    first corner there, which about halves an exhausted rung.  The BFS
+    order's root has the highest degree and its tree edges lead, so
+    whenever a degree is 3 or more the mirror edge is edge 2, the root's
+    third, and ``_join`` never meets it (in an order where it would, trying
+    every corner there stays sound).
     """
 
     def __init__(self, ends, budget):
         self.ends = ends
-        self.rot_next = [-1] * len(ends)
+        self.phi = [-1] * len(ends)
         self.face = [-1] * len(ends)
         self.darts_at = {v: [] for v in dict.fromkeys(ends)}
         self.budget = budget
@@ -428,84 +438,88 @@ class _EmbeddingSearch:
             budget.nodes = nodes
 
     def _extract(self):
+        # The rotation at v: the dart after x is phi[x ^ 1].
         ends = self.ends
+        phi = self.phi
         rot = {}
-        for v, darts in self.darts_at.items():
-            start = darts[0]
+        for v, corners in self.darts_at.items():
+            start = corners[0] ^ 1
             cyc = rot[v] = [ends[start ^ 1]]
-            d = self.rot_next[start]
+            d = phi[start ^ 1]
             while d != start:
                 cyc.append(ends[d ^ 1])
-                d = self.rot_next[d]
+                d = phi[d ^ 1]
         return rot
 
     def _open(self, ei):
-        # A component's opening edge: a two-sided single face.
+        # A component's opening edge: a two-sided single face, a then b.
         a = 2 * ei
-        u, v = self.ends[a], self.ends[a + 1]
-        self.rot_next[a] = self.face[a] = self.face[a + 1] = a
-        self.rot_next[a + 1] = a + 1
-        self.darts_at[u].append(a)
-        self.darts_at[v].append(a + 1)
+        b = a + 1
+        u, v = self.ends[a], self.ends[b]
+        self.phi[a] = b
+        self.phi[b] = a
+        self.face[a] = self.face[b] = a
+        self.darts_at[u].append(b)
+        self.darts_at[v].append(a)
         yield True
         self.darts_at[u].pop()
         self.darts_at[v].pop()
 
     def _pendant(self, ei):
-        # v is new; the chosen corner's face absorbs both darts, so the face
+        # v is new; the chosen corner's face absorbs a and b, so the face
         # count is unchanged.  At the mirror edge u is the endpoint with two.
         a = 2 * ei
         b = a + 1
         u, v = self.ends[a], self.ends[b]
-        rot = self.rot_next
+        phi = self.phi
         face = self.face
         du = self.darts_at[u]
         dv = self.darts_at[v]
-        rot[b] = b
-        dv.append(b)
-        for x in (du[:1] if ei == self.mirror else du):
-            sx = rot[x]
-            rot[x] = a
-            rot[a] = sx
-            face[a] = face[b] = face[x ^ 1]
-            du.append(a)
+        phi[a] = b
+        dv.append(a)
+        for cx in (du[:1] if ei == self.mirror else du):
+            sx = phi[cx]
+            phi[cx] = a
+            phi[b] = sx
+            face[a] = face[b] = face[cx]
+            du.append(b)
             yield True
             du.pop()
-            rot[x] = sx
+            phi[cx] = sx
         dv.pop()
 
     def _join(self, ei):
-        # Both endpoints embedded.  The corner after dart x lies on face
-        # face[x ^ 1].  A same-face pair splits that face (genus kept); a
-        # cross-face pair merges two faces (genus + 1).  The darts at v are
-        # grouped by face once; pairs are formed only when tried.
+        # Both endpoints embedded.  Corner c lies on face face[c].  A
+        # same-face pair splits that face (genus kept); a cross-face pair
+        # merges two faces (genus + 1).  The corners at v are grouped by face
+        # once; pairs are formed only when tried.
         a = 2 * ei
         b = a + 1
         u, v = self.ends[a], self.ends[b]
-        rot = self.rot_next
+        phi = self.phi
         face = self.face
         du = self.darts_at[u]
         dv = self.darts_at[v]
         by_face = {}
-        for y in dv:
-            fy = face[y ^ 1]
+        for cy in dv:
+            fy = face[cy]
             if fy in by_face:
-                by_face[fy].append(y)
+                by_face[fy].append(cy)
             else:
-                by_face[fy] = [y]
-        for x in du:
-            fx = face[x ^ 1]
+                by_face[fy] = [cy]
+        for cx in du:
+            fx = face[cx]
             if fx not in by_face:
                 continue
-            for y in by_face[fx]:
-                sx = rot[x]
-                sy = rot[y]
-                rot[x] = a
-                rot[a] = sx
-                rot[y] = b
-                rot[b] = sy
-                du.append(a)
-                dv.append(b)
+            for cy in by_face[fx]:
+                sx = phi[cx]
+                sy = phi[cy]
+                phi[cx] = a
+                phi[b] = sx
+                phi[cy] = b
+                phi[a] = sy
+                du.append(b)
+                dv.append(a)
                 # The face through b (b, then sx onward) keeps fx; the one
                 # through a (a, then sy onward) takes the fresh id a.
                 face[a] = a
@@ -513,51 +527,51 @@ class _EmbeddingSearch:
                 d = sy
                 while d != a:
                     face[d] = a
-                    d = rot[d ^ 1]
+                    d = phi[d]
                 yield True
                 d = sy
                 while d != a:
                     face[d] = fx
-                    d = rot[d ^ 1]
+                    d = phi[d]
                 du.pop()
                 dv.pop()
-                rot[y] = sy
-                rot[x] = sx
+                phi[cy] = sy
+                phi[cx] = sx
 
         if self.genus_used >= self.target:
             return
-        for x in du:
-            fx = face[x ^ 1]
-            for y in dv:
-                fy = face[y ^ 1]
+        for cx in du:
+            fx = face[cx]
+            for cy in dv:
+                fy = face[cy]
                 if fy == fx:
                     continue
-                sx = rot[x]
-                sy = rot[y]
-                rot[x] = a
-                rot[a] = sx
-                rot[y] = b
-                rot[b] = sy
-                du.append(a)
-                dv.append(b)
+                sx = phi[cx]
+                sy = phi[cy]
+                phi[cx] = a
+                phi[b] = sx
+                phi[cy] = b
+                phi[a] = sy
+                du.append(b)
+                dv.append(a)
                 # The merged face runs a, then fy's darts from sy, then b,
                 # then fx's darts from sx; only fx's darts are relabelled.
                 face[a] = face[b] = fy
                 d = sx
                 while d != a:
                     face[d] = fy
-                    d = rot[d ^ 1]
+                    d = phi[d]
                 self.genus_used += 1
                 yield True
                 self.genus_used -= 1
                 d = sx
                 while d != a:
                     face[d] = fx
-                    d = rot[d ^ 1]
+                    d = phi[d]
                 du.pop()
                 dv.pop()
-                rot[y] = sy
-                rot[x] = sx
+                phi[cy] = sy
+                phi[cx] = sx
 
 
 def _solve_component(verts, ends, lower, budget):

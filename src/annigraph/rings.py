@@ -61,7 +61,12 @@ def _frozen_table(name: str, table, n: int) -> np.ndarray:
         raise RingError(f"{name} table has shape {arr.shape}, expected ({n}, {n})")
     if arr.dtype.kind not in "iu":
         raise RingError(f"{name} table entries must be integers, not {arr.dtype}")
-    if arr.min() < 0 or arr.max() >= n:
+    # One pass: viewed as unsigned of the same width and byte order, a
+    # negative entry wraps to 2**(bits - 1) or above, which is at least n
+    # under the size cap for every signed type but int8, so that is widened.
+    if arr.dtype == np.int8:
+        arr = arr.astype(np.int16)
+    if arr.view(arr.dtype.str.replace("i", "u")).max() >= n:
         i, j = np.argwhere((arr < 0) | (arr >= n))[0]
         raise RingError(f"{name} table entry {arr[i, j]} out of range at row {i}")
     if arr.dtype != np.int32 or arr.flags.writeable:

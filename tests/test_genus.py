@@ -626,19 +626,19 @@ def test_connected_edge_order_matches_sorted_oracle(graph):
 
 
 def assert_faces_match_tracing(search):
-    """Two darts share a ``face`` id exactly when tracing ``rot_next`` puts
-    them on the same face: d is followed by rot_next[d ^ 1].  Every dart
-    listed at v runs from v in the dart table."""
-    assert all(search.ends[d] == v
-               for v, darts in search.darts_at.items() for d in darts)
-    rot, face = search.rot_next, search.face
-    orbit = [-1] * len(rot)
-    for start in range(len(rot)):
+    """Two darts share a ``face`` id exactly when they share a ``phi``
+    orbit, a traced face.  Every corner listed at v is a dart into v in the
+    dart table."""
+    assert all(search.ends[c ^ 1] == v
+               for v, corners in search.darts_at.items() for c in corners)
+    phi, face = search.phi, search.face
+    orbit = [-1] * len(phi)
+    for start in range(len(phi)):
         if orbit[start] < 0:
             d = start
             while orbit[d] < 0:
                 orbit[d] = start
-                d = rot[d ^ 1]
+                d = phi[d]
     assert -1 not in face
     pairs = set(zip(orbit, face))
     assert len(pairs) == len(set(orbit)) == len(set(face))

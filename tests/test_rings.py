@@ -417,16 +417,40 @@ def test_constructors_hand_over_their_tables(monkeypatch):
     assert copied == []
 
 
+def read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 @pytest.mark.parametrize("add, match", [
     ([[0, 1], [1, "x"]], "integers"),
     ([[0, 1], [1, 0.5]], "integers"),
     ([[0, 1], [1]], "n x n|shape"),
     ([[0, 1, 0], [1, 0, 1]], "shape"),
     ([[0, 1], [1, 2]], "out of range"),
+    ([[0, 1], [1, -1]], "out of range"),
+    (read_only(np.array([[0, 1], [1, 2]], dtype=np.int32)), "out of range"),
+    (np.array([[0, 1], [1, 2]], dtype=">i4"), "out of range"),
+    (np.array([[0, 1], [1, 255]], dtype=np.uint8), "out of range"),
 ])
 def test_malformed_tables_raise_ring_error(add, match):
     with pytest.raises(RingError, match=match):
         FiniteRing(size=2, add=add, mul=[[0, 0], [0, 1]])
+
+
+def test_negative_int8_entry_is_out_of_range_above_128_elements():
+    # Viewed as uint8, -1 reads 255, which is in range at n = 300.
+    add = np.zeros((300, 300), dtype=np.int8)
+    add[3, 5] = -1
+    with pytest.raises(RingError, match="entry -1 out of range at row 3"):
+        FiniteRing(size=300, add=add, mul=np.zeros((300, 300), dtype=np.int32))
+
+
+@pytest.mark.parametrize("dtype", ["i1", "u1", ">i2", "<u2", ">i4", "i8", ">u8"])
+def test_in_range_tables_of_any_integer_type_are_accepted(dtype):
+    zn = make_zn(7)
+    ring = FiniteRing(size=7, add=zn.add.astype(dtype), mul=zn.mul.astype(dtype))
+    assert ring == zn and ring.add.dtype == np.int32
 
 
 def test_rings_compare_by_value():
