@@ -4,8 +4,11 @@ Euler-formula lower bounds, LR planarity, face tracing of a rotation
 system, and an exact branch-and-bound solver over rotation systems.
 
 The exact solver builds a cellular embedding one edge at a time.  A partial
-embedding is a rotation system of the inserted subgraph together with its
-face cycles.  Inserting an edge means choosing a corner at each endpoint:
+embedding is the face permutation of the inserted subgraph, the rotation
+composed with the edge involution, whose orbits are the faces, together
+with a face id per dart and each vertex's corners; the rotation is read
+back from it only for a witness.  Inserting an edge means choosing a corner
+at each endpoint:
 if both corners lie on the same face the face splits (genus unchanged), and
 if they lie on different faces the faces merge (genus grows by one).  Corner
 choices enumerate each rotation system exactly once, cyclic symmetry
