@@ -670,6 +670,33 @@ def test_search_face_labels_match_traced_faces(graph):
         assert_faces_match_tracing(search)
 
 
+@pytest.mark.parametrize("graph,target,expected", [
+    (lambda: complete_graph(8), 2, (2, 8_885)),
+    (lambda: ag_of("prod:(zn:2,prod:(zn:2,prod:(zn:2,zn:2)))"), 0, (None, 8_058)),
+], ids=["K8-rung2", "AG(Z2^4)-rung0"])
+def test_search_reused_after_budget_cut_matches_fresh(graph, target, expected):
+    # A rung cut by the budget leaves moves applied and levels suspended;
+    # a later run on the same search must see none of them.  K8 finds
+    # genus 2 at its Euler rung, and the reduced AG(Z2^4) exhausts rung 0.
+    reduced, _ = genus._reduce(genus._neighbours(graph()))
+    ends = _connected_edge_order(sorted(reduced), reduced)
+    fresh_budget = _Budget(None, None)
+    fresh = _EmbeddingSearch(ends, fresh_budget).run(target)
+    assert (fresh[1], fresh_budget.nodes) == expected
+    budget = _Budget(None, None)
+    search = _EmbeddingSearch(ends, budget)
+    for cut in (7, 50, 300):
+        budget.limit, budget.nodes = cut, 0
+        with pytest.raises(genus.BudgetExceeded):
+            search.run(target)
+        assert budget.nodes == cut + 1
+        budget.limit, budget.nodes = None, 0
+        assert search.run(target) == fresh
+        assert budget.nodes == fresh_budget.nodes
+        if fresh[0] is None:
+            assert not any(search.darts_at.values())
+
+
 @pytest.mark.parametrize("spec,expected,digest", [
     ("prod:(zn:2,prod:(zn:2,prod:(zn:2,prod:(zn:2,zn:2))))",
      ("budget_exhausted", 3, 21, 20_001),
@@ -677,11 +704,16 @@ def test_search_face_labels_match_traced_faces(graph):
     ("prod:(zn:4,prod:(zn:4,prod:(zn:4,zn:4)))",
      ("budget_exhausted", 58, 154, 20_001),
      "625563c4396da2cd7d33fe1f327504f92b372a33f010c43fa4f68bedbca58922"),
+    ("prod:(zn:8,zn:8)",
+     ("budget_exhausted", 1, 4, 20_001),
+     "e6670917add909db7b4dff32c9580d0100e4d6b7779ca23d7ea05725e9082aa3"),
 ])
 def test_cut_search_on_large_face_ags_is_pinned(spec, expected, digest):
     # AG(Z2^5) and AG(Z4^4) have the longest faces of the benchmark graphs,
-    # so they exercise face relabelling most; the cut search's bounds, node
-    # count and witness are fixed by the graph and the budget alone.
+    # so they exercise face relabelling most.  AG(Z8xZ8) has mostly short
+    # faces, so many of its join levels find no corner pair on a common
+    # face and end without a move.  The cut search's bounds, node count
+    # and witness are fixed by the graph and the budget alone.
     res = genus_exact(ag_of(spec), node_budget=20_000)
     assert (res.status, res.lower, res.upper, res.nodes) == expected
     assert hashlib.sha256(repr(res.witness).encode()).hexdigest() == digest
