@@ -514,7 +514,7 @@ GENUS_ARGVS = [("cat:k5",), ("cat:km:3:3",), ("cat:k7",), ("zn:12",),
                ("cat:k46", "--budget-nodes", "2000")]
 GENUS_DIGESTS = {
     "text": "0da82e6dfae6a63eec5a62bc46c0aef7dc1fc7e3b4b7a49cd0c7751d763f5066",
-    "json": "e4dfdab296c68f9aa6a9fe51353f98a8916b6a62ca59231d2111254a97f9ae60",
+    "json": "28bd425d5f7935e9507c005bfa0ac5f43c0d04c2a9c81dd1e50950be12bca94c",
 }
 
 
