@@ -303,16 +303,28 @@ def _restore_rotation(rot: dict[int, list[int]], records) -> dict[int, list[int]
 
 
 def _connected_edge_order(verts, adj):
-    """BFS edge order as a flat dart table: edge i runs from ``ends[2i]``,
-    its earlier vertex, to ``ends[2i+1]``, so dart d runs from ``ends[d]``
-    to ``ends[d ^ 1]``.  The BFS starts at the first vertex by (-degree,
-    label) and visits neighbours in that rank.  Each later vertex w, in BFS
-    order, brings its tree edge (parent[w], w), which attaches it, and then
-    at once its back edges (u, w) to the other earlier neighbours u, by u's
-    position: every cycle through w closes as soon as w is placed, so a
-    corner choice that rules out a later join is refuted near where it was
-    made.  Scanning the earlier endpoints in BFS order fills each later
-    vertex's list already in order."""
+    """BFS edge order as a flat dart table, with what the search reads off
+    it: returns (ends, kind, mirror).
+
+    Edge i runs from ``ends[2i]``, its earlier vertex, to ``ends[2i+1]``, so
+    dart d runs from ``ends[d]`` to ``ends[d ^ 1]``.  The BFS starts at the
+    first vertex by (-degree, label) and visits neighbours in that rank.
+    Each later vertex w, in BFS order, brings its tree edge (parent[w], w),
+    which attaches it, and then at once its back edges (u, w) to the other
+    earlier neighbours u, by u's position: every cycle through w closes as
+    soon as w is placed, so a corner choice that rules out a later join is
+    refuted near where it was made.  Scanning the earlier endpoints in BFS
+    order fills each later vertex's list already in order.
+
+    ``kind[i]`` is edge i's move: 0 opens the component, 1 adds a new
+    vertex w (a tree edge), 2 joins w to an earlier vertex (a back edge), so
+    an edge followed by a 2 is followed by a join at the same w.
+    ``mirror`` is the first edge at which an endpoint already has two darts,
+    or -1 if none: the root's third tree edge when the root, of highest
+    degree, has three neighbours or more.  Its first two neighbours come
+    next in the BFS, and when they are adjacent edge 2 joins them, one dart
+    at each end, so the mirror edge is edge 3; otherwise it is edge 2.
+    """
     ranked = sorted(verts, key=lambda v: (-len(adj[v]), v))
     rank = {v: i for i, v in enumerate(ranked)}
     order = {ranked[0]: 0}
@@ -329,17 +341,27 @@ def _connected_edge_order(verts, adj):
         for w in adj[u]:
             if pos < order[w] and parent[w] != u:
                 later[w].append(u)
-    return [x for w in queue[1:] for u in (parent[w], *later[w]) for x in (u, w)]
+    ends = [x for w in queue[1:] for u in (parent[w], *later[w]) for x in (u, w)]
+    kind = bytearray(b"\x02") * (len(ends) // 2)
+    ei = 0
+    for w in queue[1:]:
+        kind[ei] = 1 if ei else 0
+        ei += 1 + len(later[w])
+    if len(adj[queue[0]]) < 3:
+        mirror = -1
+    else:
+        mirror = 3 if queue[2] in adj[queue[1]] else 2
+    return ends, kind, mirror
 
 
 class _EmbeddingSearch:
     """Depth-first search over corner insertions for a fixed edge order.
 
-    The graph is the dart table ``ends`` of ``_connected_edge_order``,
-    read in place; it may span several components, each in its own order,
-    and each component's first edge opens a fresh face.  ``run`` returns
-    (rotation, genus) for the first embedding found with at most
-    ``target`` face merges, or (None, None).
+    The graph is the (ends, kind, mirror) of ``_connected_edge_order``,
+    read in place; the dart table may span several components, each in its
+    own order, and each component's first edge, of kind 0, opens a fresh
+    face.  ``run`` returns (rotation, genus) for the first embedding found
+    with at most ``target`` face merges, or (None, None).
 
     The partial embedding is stored as its face permutation: ``phi[d]`` is
     the dart after d on its face, the rotation's successor of d ^ 1 (faces
@@ -354,72 +376,69 @@ class _EmbeddingSearch:
     slots, made on the level's first visit and dropped when the run ends,
     so the depth is bounded by memory, not by the interpreter's recursion
     limit.  A coroutine binds its edge's darts, ``phi``, ``face`` and its
-    two corner lists once, then serves visit after visit: it applies its
-    next candidate move and yields True, undoes the move when resumed, and
-    yields False when the visit has no moves left, after which the next
-    resume starts a new visit.  ``run`` counts one node per True, steps
-    down a level on True and back up on False, so a node builds no
-    generator and reads no attribute to set one up: 1.61 µs a node on
-    AG(Z2^5) cut at 200,000 nodes, against 2.19 µs with a generator per
-    placed edge (best of 9, process time, 2-vCPU Xeon, Python 3.11).
-    Which coroutine a level runs is the edge's byte in ``kind``, fixed by
-    the edge order alone: 0 opens a component, 1 adds the new endpoint v,
-    2 joins two embedded endpoints.  Candidates come in a fixed order:
-    pendant corners by the corners at u; corner pairs on a common face (cx
-    over the corners at u, cy over those at v); then, while merges remain,
-    pairs on different faces in the same order.  Corner lists are iterated in place:
-    every move is undone before its iterator advances.
+    corner lists once, then serves visit after visit.  It yields one of
+    three things:
+    - True: it applied its next candidate move, one node; ``run`` steps
+      down a level, and the move is undone when the level is resumed;
+    - an int k: its next k candidates are leaves, k nodes that ``run``
+      counts but neither applies nor descends into;
+    - False: the visit has no candidates left; ``run`` steps back up, and
+      the next resume starts a new visit.
+    Which coroutine a level runs is its byte in ``kind``: 0 opens a
+    component, 1 adds the new endpoint v, 2 joins two embedded endpoints.
+    Candidates come in a fixed order: pendant corners by the corners at u;
+    corner pairs on a common face (cx over the corners at u, cy over those
+    at v); then, while merges remain, pairs on different faces in the same
+    order.  Corner lists are iterated in place: every move is undone before
+    its iterator advances.
+
+    A leaf is a candidate whose child level would have no move, so it
+    counts as the one node it would be and nothing below it reads the
+    state it would leave.  Both rules apply only when no merge is left
+    (``genus_used >= target``) and the next edge, by ``kind``, is a join
+    (u', v) at the same new vertex v; that join can then only split a face
+    that u' and v share.
+    - A pendant leaves v with one corner, on cx's face, and relabels no
+      face: a corner cx is a leaf unless u' has a corner on ``face[cx]``,
+      one lookup in the faces at u', read once a visit.
+    - A split leaves v on both halves of the face it splits, and a corner
+      at u' lands on the fresh face a only if it was on the split face:
+      after any split u' and v share a face exactly when they did before.  So one test a visit makes every
+      split a leaf or none; merges always descend.
+    Leaves come in runs in candidate order, each run one yield, and
+    ``run`` counts them as if visited one by one: a cut stops at exactly
+    ``limit + 1`` and the clock is read at the first multiple of 256 a run
+    reaches.  Node counts, bounds and witnesses are those of the search
+    that descends into every candidate.
 
     Face ids are only compared for equality, so which side of a move is
-    relabelled changes no candidate and no node count; each move relabels
-    the side that is usually shorter.  An opening edge and a split use the
-    number of the new dart a as the fresh id, which no other live face can
-    hold.  A split gives it to the face through a; a merge keeps cy's face
-    id and relabels cx's darts, walked from ``phi[cx]``.  On AG(Z4^4) cut
-    at 200,000 nodes that walks, a node, 14.9 darts against 16.9 through b,
-    and 1.1 against 5.7 on cy's face (7.4 against 12.7 splitting on
-    AG(Z2^5)).
+    relabelled changes no candidate and no node count.  An opening edge
+    and a split use the number of the new dart a as the fresh id, which no
+    other live face can hold.  A split gives it to the face through a; a
+    merge keeps cy's face id and relabels cx's darts, walked from
+    ``phi[cx]``.  On AG(Z4^4) cut at 200,000 nodes a split walks 8.7 darts
+    through a against 8.1 through b, and a merge 4.9 against 10.1 on cy's
+    face (3.4 against 3.2 and 4.1 against 5.8 on AG(Z2^5)).
 
-    The mirror rule: ``mirror`` is the first edge at which an endpoint
-    already has two darts (-1 if none), fixed by the edge order alone.
-    Before it every vertex has at most two darts, so the partial rotation
-    equals its mirror image, and the two corners of that endpoint root
-    mirror-image subtrees of equal genus.  ``_pendant`` tries only u's
-    first corner there, which about halves an exhausted rung.  The BFS
-    order's root has the highest degree, and its first three neighbours
-    come next in the BFS, so whenever a degree is 3 or more the mirror
-    edge is the root's third tree edge, a pendant: edge 3 when the first
-    two neighbours are adjacent (edge 2 joins them, one dart at each end),
-    else edge 2.  ``_join`` never meets it (in an order where it would,
-    trying every corner there stays sound).
+    The mirror rule: before the edge ``mirror`` every vertex has at most
+    two darts, so the partial rotation equals its mirror image, and the two
+    corners of the endpoint that has two there root mirror-image subtrees
+    of equal genus.  ``_pendant`` tries only u's first corner there, which
+    about halves an exhausted rung.  In the BFS order the mirror edge is
+    the root's third tree edge, a pendant; ``_join`` never meets it (in an
+    order where it would, trying every corner there stays sound).
     """
 
-    def __init__(self, ends, budget):
+    def __init__(self, ends, kind, mirror, budget):
         self.ends = ends
+        self.kind = kind
+        self.mirror = mirror
         self.phi = [-1] * len(ends)
         self.face = [-1] * len(ends)
         self.darts_at = {v: [] for v in dict.fromkeys(ends)}
         self.budget = budget
         self.genus_used = 0
         self.target = 0
-        # One pass up to the last new vertex: each edge's move kind (every
-        # later edge joins) and the mirror edge.
-        kind = self.kind = bytearray(b"\x02") * (len(ends) // 2)
-        self.mirror = -1
-        darts = dict.fromkeys(self.darts_at, 0)
-        unseen = len(darts)
-        pairs = iter(ends)
-        for ei, (u, v) in enumerate(zip(pairs, pairs)):
-            du, dv = darts[u], darts[v]
-            if self.mirror < 0 and 2 in (du, dv):
-                self.mirror = ei
-            if not dv:
-                kind[ei] = 1 if du else 0
-            unseen -= (not du) + (not dv)
-            if not unseen:
-                break
-            darts[u] = du + 1
-            darts[v] = dv + 1
 
     def run(self, target):
         self.target = float("inf") if target is None else target
@@ -438,7 +457,8 @@ class _EmbeddingSearch:
         level = levels[0] = moves[kind[0]](0)
         try:
             while True:
-                if next(level):
+                step = next(level)
+                if step is True:
                     nodes += 1
                     if nodes > limit:
                         raise BudgetExceeded
@@ -451,6 +471,19 @@ class _EmbeddingSearch:
                     level = levels[ei]
                     if level is None:
                         level = levels[ei] = moves[kind[ei]](ei)
+                elif step:
+                    # step leaves, counted as if visited one by one: the clock
+                    # is read at the first multiple of 256 they reach before
+                    # the limit, and a cut stops at exactly limit + 1.
+                    if deadline is not None:
+                        mark = nodes - nodes % 256 + 256
+                        if mark <= min(nodes + step, limit) and time.monotonic() > deadline:
+                            nodes = mark
+                            raise BudgetExceeded
+                    nodes += step
+                    if nodes > limit:
+                        nodes = limit + 1
+                        raise BudgetExceeded
                 elif ei:
                     ei -= 1
                     level = levels[ei]
@@ -492,9 +525,20 @@ class _EmbeddingSearch:
             dv.pop()
             yield False
 
+    def _next_join(self, ei):
+        """The corners at u' when edge ei + 1 is a join (u', w) at the same
+        new vertex w as edge ei, else None."""
+        if ei + 1 < len(self.kind) and self.kind[ei + 1] == 2:
+            return self.darts_at[self.ends[2 * ei + 2]]
+        return None
+
     def _pendant(self, ei):
         # v is new; the chosen corner's face absorbs a and b, so the face
         # count is unchanged.  At the mirror edge u is the endpoint with two.
+        # With no merge left, the join (u', v) that comes next has a move
+        # only if u' has a corner on v's one face, face[cx]; pendants
+        # relabel no face, so the faces at u' are read once a visit and
+        # every other corner is a leaf.
         a = 2 * ei
         b = a + 1
         phi = self.phi
@@ -502,10 +546,21 @@ class _EmbeddingSearch:
         du = self.darts_at[self.ends[a]]
         dv = self.darts_at[self.ends[b]]
         mirror = ei == self.mirror
+        joined = self._next_join(ei)
         while True:
             phi[a] = b
             dv.append(a)
+            live = None
+            if joined is not None and self.genus_used >= self.target:
+                live = {face[c] for c in joined}
+            leaves = 0
             for cx in (du[:1] if mirror else du):
+                if live is not None and face[cx] not in live:
+                    leaves += 1
+                    continue
+                if leaves:
+                    yield leaves
+                    leaves = 0
                 sx = phi[cx]
                 phi[cx] = a
                 phi[b] = sx
@@ -515,19 +570,27 @@ class _EmbeddingSearch:
                 du.pop()
                 phi[cx] = sx
             dv.pop()
+            if leaves:
+                yield leaves
             yield False
 
     def _join(self, ei):
         # Both endpoints embedded.  Corner c lies on face face[c].  A
         # same-face pair splits that face (genus kept); a cross-face pair
         # merges two faces (genus + 1).  The corners at v are grouped by face
-        # once a visit; pairs are formed only when tried.
+        # once a visit; pairs are formed only when tried.  With no merge
+        # left, the join (u', v) that comes next has a move after a split
+        # only if u' and v share a face before it: the split leaves v on
+        # both halves, and a corner at u' lands on the fresh face a only if
+        # it was on the split face.  If they share none, every split is a
+        # leaf.
         a = 2 * ei
         b = a + 1
         phi = self.phi
         face = self.face
         du = self.darts_at[self.ends[a]]
         dv = self.darts_at[self.ends[b]]
+        joined = self._next_join(ei)
         while True:
             by_face = {}
             for cy in dv:
@@ -536,36 +599,52 @@ class _EmbeddingSearch:
                     by_face[fy].append(cy)
                 else:
                     by_face[fy] = [cy]
-            for cx in du:
-                fx = face[cx]
-                if fx not in by_face:
-                    continue
-                for cy in by_face[fx]:
-                    sx = phi[cx]
-                    sy = phi[cy]
-                    phi[cx] = a
-                    phi[b] = sx
-                    phi[cy] = b
-                    phi[a] = sy
-                    du.append(b)
-                    dv.append(a)
-                    # The face through b (b, then sx onward) keeps fx; the
-                    # one through a (a, then sy onward) takes the fresh id a.
-                    face[a] = a
-                    face[b] = fx
-                    d = sy
-                    while d != a:
-                        face[d] = a
-                        d = phi[d]
-                    yield True
-                    d = sy
-                    while d != a:
-                        face[d] = fx
-                        d = phi[d]
-                    du.pop()
-                    dv.pop()
-                    phi[cy] = sy
-                    phi[cx] = sx
+            dead = joined is not None and self.genus_used >= self.target
+            if dead:
+                for c in joined:
+                    if face[c] in by_face:
+                        dead = False
+                        break
+            if dead:
+                leaves = 0
+                for cx in du:
+                    fx = face[cx]
+                    if fx in by_face:
+                        leaves += len(by_face[fx])
+                if leaves:
+                    yield leaves
+            else:
+                for cx in du:
+                    fx = face[cx]
+                    if fx not in by_face:
+                        continue
+                    for cy in by_face[fx]:
+                        sx = phi[cx]
+                        sy = phi[cy]
+                        phi[cx] = a
+                        phi[b] = sx
+                        phi[cy] = b
+                        phi[a] = sy
+                        du.append(b)
+                        dv.append(a)
+                        # The face through b (b, then sx onward) keeps fx;
+                        # the one through a (a, then sy onward) takes the
+                        # fresh id a.
+                        face[a] = a
+                        face[b] = fx
+                        d = sy
+                        while d != a:
+                            face[d] = a
+                            d = phi[d]
+                        yield True
+                        d = sy
+                        while d != a:
+                            face[d] = fx
+                            d = phi[d]
+                        du.pop()
+                        dv.pop()
+                        phi[cy] = sy
+                        phi[cx] = sx
 
             if self.genus_used < self.target:
                 for cx in du:
@@ -604,10 +683,10 @@ class _EmbeddingSearch:
             yield False
 
 
-def _solve_component(verts, ends, lower, budget):
+def _solve_component(verts, order, lower, budget):
     """Exact genus of one connected component, or partial bounds on budget stop.
 
-    ``ends`` is the component's ``_connected_edge_order``, ``verts`` its
+    ``order`` is the component's ``_connected_edge_order``, ``verts`` its
     sorted vertices (read only by the LR test) and ``lower`` its Euler bound.
     Returns (lower, upper, rotation, exact).  Where the Euler bound is 0, the
     LR planarity test either returns a planar embedding as the witness, with
@@ -617,7 +696,7 @@ def _solve_component(verts, ends, lower, budget):
     keep whatever the completed rungs proved.
     """
     if lower == 0:
-        pairs = iter(ends)
+        pairs = iter(order[0])
         planar = _lr_rotation(verts, zip(pairs, pairs))
         if planar is not None:
             return 0, 0, planar, True
@@ -625,7 +704,7 @@ def _solve_component(verts, ends, lower, budget):
     rot = None
     upper = None
     try:
-        search = _EmbeddingSearch(ends, budget)
+        search = _EmbeddingSearch(*order, budget)
         rot, upper = search.run(None)
         target = lower
         while target < upper:
@@ -659,8 +738,8 @@ def genus_exact(g: SimpleGraph, *, node_budget: int | None = DEFAULT_NODE_BUDGET
     upper = 0  # None once some component has no embedding yet
     all_exact = True
     combined: dict[int, list[int]] = {}
-    for comp, ends, euler in parts:
-        lo, up, rot, exact = _solve_component(comp, ends, euler, budget)
+    for comp, order, euler in parts:
+        lo, up, rot, exact = _solve_component(comp, order, euler, budget)
         lower += lo
         upper = None if upper is None or up is None else upper + up
         if rot is not None:

@@ -271,8 +271,12 @@ def genus_exact_whole(g) -> GenusResult:
     budget = _Budget(None, None)
     adj = _neighbours(g)
     comps = [c for c in _components(adj) if len(c) > 1]
-    ends = [x for comp in comps for x in _connected_edge_order(comp, adj)]
-    search = _EmbeddingSearch(ends, budget)
+    orders = [_connected_edge_order(comp, adj) for comp in comps]
+    # Each component's edges in turn; the mirror rule at the first
+    # component's mirror edge only, which any later component leaves sound.
+    ends = [x for order in orders for x in order[0]]
+    kind = b"".join(order[1] for order in orders)
+    search = _EmbeddingSearch(ends, kind, orders[0][2], budget)
     best, upper = search.run(None)
     for target in range(sum(_component_euler_bound(c, adj) for c in comps), upper):
         found, genus = search.run(target)

@@ -574,7 +574,7 @@ def connected_graphs(draw):
 def test_connected_edge_order_contract(graph):
     labels, adj = graph
     n = len(labels)
-    ends = _connected_edge_order(labels, adj)
+    ends, kind, mirror = _connected_edge_order(labels, adj)
     pairs = iter(ends)
     edges = list(zip(pairs, pairs))
     assert len(ends) == 2 * len(edges)
@@ -595,19 +595,27 @@ def test_connected_edge_order_contract(graph):
         earlier = pos[u]
     assert len(pos) == n
     assert all(pos[u] < pos[w] for u, w in edges)
-    # What the search reads off the order alone: an opening edge, then for
-    # each later vertex a pendant edge followed by a join per back edge; and
-    # the mirror edge, the root's third tree edge, when some degree is 3 or
-    # more: edge 3 if the root's first two neighbours are adjacent (edge 2
-    # joins them), else edge 2.
+    # What the search reads off the order: an opening edge, then for each
+    # later vertex a pendant edge followed by a join per back edge; and the
+    # mirror edge, the first at which an endpoint already has two darts,
+    # which is the root's third tree edge when some degree is 3 or more:
+    # edge 3 if the root's first two neighbours are adjacent (edge 2 joins
+    # them), else edge 2.
     by_pos = sorted(pos, key=pos.__getitem__)
     back = [sum(pos[u] < pos[w] for u in adj[w]) - 1 for w in by_pos[2:]]
-    search = _EmbeddingSearch(ends, _Budget(None, None))
-    assert search.kind == bytes([0] + [k for b in back for k in [1] + [2] * b])
+    assert kind == bytes([0] + [k for b in back for k in [1] + [2] * b])
+    darts = dict.fromkeys(pos, 0)
+    first_third = -1
+    for ei, (u, w) in enumerate(edges):
+        if first_third < 0 and 2 in (darts[u], darts[w]):
+            first_third = ei
+        darts[u] += 1
+        darts[w] += 1
+    assert mirror == first_third
     if max(map(len, adj.values())) < 3:
-        assert search.mirror == -1
+        assert mirror == -1
     else:
-        assert search.mirror == (3 if by_pos[2] in adj[by_pos[1]] else 2)
+        assert mirror == (3 if by_pos[2] in adj[by_pos[1]] else 2)
 
 
 def sorted_edge_order(verts, adj):
@@ -633,7 +641,7 @@ def sorted_edge_order(verts, adj):
 @given(connected_graphs())
 def test_connected_edge_order_matches_sorted_oracle(graph):
     labels, adj = graph
-    pairs = iter(_connected_edge_order(labels, adj))
+    pairs = iter(_connected_edge_order(labels, adj)[0])
     assert list(zip(pairs, pairs)) == sorted_edge_order(labels, adj)
 
 
@@ -663,9 +671,9 @@ def test_search_face_labels_match_traced_faces(graph):
     # that finds nothing leaves every dart list empty.  A budget keeps the
     # dense draws cheap; a rung it cuts is not checked.
     labels, adj = graph
-    ends = _connected_edge_order(labels, adj)
+    order = _connected_edge_order(labels, adj)
     budget = _Budget(20_000, None)
-    search = _EmbeddingSearch(ends, budget)
+    search = _EmbeddingSearch(*order, budget)
     rot, upper = search.run(None)
     assert rot is not None
     assert_faces_match_tracing(search)
@@ -691,12 +699,12 @@ def test_search_reused_after_budget_cut_matches_fresh(graph, target, expected):
     # a later run on the same search must see none of them.  K8 finds
     # genus 2 at its Euler rung, and the reduced AG(Z2^4) exhausts rung 0.
     reduced, _ = genus._reduce(genus._neighbours(graph()))
-    ends = _connected_edge_order(sorted(reduced), reduced)
+    order = _connected_edge_order(sorted(reduced), reduced)
     fresh_budget = _Budget(None, None)
-    fresh = _EmbeddingSearch(ends, fresh_budget).run(target)
+    fresh = _EmbeddingSearch(*order, fresh_budget).run(target)
     assert (fresh[1], fresh_budget.nodes) == expected
     budget = _Budget(None, None)
-    search = _EmbeddingSearch(ends, budget)
+    search = _EmbeddingSearch(*order, budget)
     for cut in (7, 30, 90):
         budget.limit, budget.nodes = cut, 0
         with pytest.raises(genus.BudgetExceeded):
@@ -707,6 +715,204 @@ def test_search_reused_after_budget_cut_matches_fresh(graph, target, expected):
         assert budget.nodes == fresh_budget.nodes
         if fresh[0] is None:
             assert not any(search.darts_at.values())
+
+
+class PlainSearch(_EmbeddingSearch):
+    """The search that applies and descends into every candidate: its
+    pendant and join levels yield only True and False, as before leaves
+    were counted.  The oracle for the library search's node counts."""
+
+    def _pendant(self, ei):
+        a = 2 * ei
+        b = a + 1
+        phi = self.phi
+        face = self.face
+        du = self.darts_at[self.ends[a]]
+        dv = self.darts_at[self.ends[b]]
+        mirror = ei == self.mirror
+        while True:
+            phi[a] = b
+            dv.append(a)
+            for cx in (du[:1] if mirror else du):
+                sx = phi[cx]
+                phi[cx] = a
+                phi[b] = sx
+                face[a] = face[b] = face[cx]
+                du.append(b)
+                yield True
+                du.pop()
+                phi[cx] = sx
+            dv.pop()
+            yield False
+
+    def _join(self, ei):
+        # Both endpoints embedded.  Corner c lies on face face[c].  A
+        # same-face pair splits that face (genus kept); a cross-face pair
+        # merges two faces (genus + 1).  The corners at v are grouped by face
+        # once a visit; pairs are formed only when tried.
+        a = 2 * ei
+        b = a + 1
+        phi = self.phi
+        face = self.face
+        du = self.darts_at[self.ends[a]]
+        dv = self.darts_at[self.ends[b]]
+        while True:
+            by_face = {}
+            for cy in dv:
+                fy = face[cy]
+                if fy in by_face:
+                    by_face[fy].append(cy)
+                else:
+                    by_face[fy] = [cy]
+            for cx in du:
+                fx = face[cx]
+                if fx not in by_face:
+                    continue
+                for cy in by_face[fx]:
+                    sx = phi[cx]
+                    sy = phi[cy]
+                    phi[cx] = a
+                    phi[b] = sx
+                    phi[cy] = b
+                    phi[a] = sy
+                    du.append(b)
+                    dv.append(a)
+                    # The face through b (b, then sx onward) keeps fx; the
+                    # one through a (a, then sy onward) takes the fresh id a.
+                    face[a] = a
+                    face[b] = fx
+                    d = sy
+                    while d != a:
+                        face[d] = a
+                        d = phi[d]
+                    yield True
+                    d = sy
+                    while d != a:
+                        face[d] = fx
+                        d = phi[d]
+                    du.pop()
+                    dv.pop()
+                    phi[cy] = sy
+                    phi[cx] = sx
+
+            if self.genus_used < self.target:
+                for cx in du:
+                    fx = face[cx]
+                    for cy in dv:
+                        fy = face[cy]
+                        if fy == fx:
+                            continue
+                        sx = phi[cx]
+                        sy = phi[cy]
+                        phi[cx] = a
+                        phi[b] = sx
+                        phi[cy] = b
+                        phi[a] = sy
+                        du.append(b)
+                        dv.append(a)
+                        # The merged face runs a, then fy's darts from sy,
+                        # then b, then fx's darts from sx; only fx's darts
+                        # are relabelled.
+                        face[a] = face[b] = fy
+                        d = sx
+                        while d != a:
+                            face[d] = fy
+                            d = phi[d]
+                        self.genus_used += 1
+                        yield True
+                        self.genus_used -= 1
+                        d = sx
+                        while d != a:
+                            face[d] = fx
+                            d = phi[d]
+                        du.pop()
+                        dv.pop()
+                        phi[cy] = sy
+                        phi[cx] = sx
+            yield False
+
+
+class LeafCountingSearch(_EmbeddingSearch):
+    """The library search, also counting the leaves its levels yield."""
+
+    leaves = 0
+
+    def _pendant(self, ei):
+        return self._count(super()._pendant(ei))
+
+    def _join(self, ei):
+        return self._count(super()._join(ei))
+
+    def _count(self, level):
+        for step in level:
+            if step is not True and step:
+                self.leaves += step
+            yield step
+
+
+def rungs_up_to_success(cls, order, lower, limit):
+    """(result, nodes) of run(target) for target = lower, lower + 1, ...
+    up to the first embedding found, or up to a rung cut at ``limit``."""
+    budget = _Budget(limit, None)
+    search = cls(*order, budget)
+    rungs = []
+    for target in range(lower, len(order[1]) + 1):
+        budget.nodes = 0
+        try:
+            found = search.run(target)
+        except genus.BudgetExceeded:
+            rungs.append(("cut", budget.nodes))
+            break
+        rungs.append((found, budget.nodes))
+        if found[0] is not None:
+            break
+    return rungs
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_leaves_spend_the_nodes_of_a_plain_search(graph):
+    # Counting a candidate whose child has no move as a leaf, without
+    # applying it, changes no rung's result, witness or node count.
+    labels, adj = graph
+    order = _connected_edge_order(labels, adj)
+    lower = genus._component_euler_bound(labels, adj)
+    assert (rungs_up_to_success(_EmbeddingSearch, order, lower, 20_000)
+            == rungs_up_to_success(PlainSearch, order, lower, 20_000))
+
+
+def test_budget_cuts_inside_leaf_runs_stop_at_the_limit():
+    # AG(Z8xZ8) has mostly short faces, so many of its joins have no move:
+    # most of its rung-1 nodes are leaves, counted a run at a time.  A cut
+    # at any budget still stops at exactly one node past it, a deadline
+    # already passed at the first multiple of 256, and a search reused
+    # after a cut matches a fresh one.
+    g = ag_of("prod:(zn:8,zn:8)")
+    for k in range(3001):
+        res = genus_exact(g, node_budget=k)
+        assert (res.status, res.nodes) == ("budget_exhausted", k + 1)
+        res = genus_exact(g, node_budget=k, time_budget_ms=0)
+        assert (res.status, res.nodes) == ("budget_exhausted", min(k + 1, 256))
+    reduced, _ = genus._reduce(genus._neighbours(g))
+    order = _connected_edge_order(sorted(reduced), reduced)
+    plain_budget = _Budget(None, None)
+    plain = PlainSearch(*order, plain_budget).run(1)
+    fresh_budget = _Budget(None, None)
+    fresh_search = LeafCountingSearch(*order, fresh_budget)
+    fresh = fresh_search.run(1)
+    assert (fresh, fresh_budget.nodes) == (plain, plain_budget.nodes) == ((None, None), 24_351)
+    assert fresh_search.leaves > fresh_budget.nodes // 2
+    budget = _Budget(None, None)
+    search = _EmbeddingSearch(*order, budget)
+    for cut in range(0, 3001, 100):
+        budget.limit, budget.nodes = cut, 0
+        with pytest.raises(genus.BudgetExceeded):
+            search.run(1)
+        assert budget.nodes == cut + 1
+        budget.limit, budget.nodes = None, 0
+        assert search.run(1) == fresh
+        assert budget.nodes == fresh_budget.nodes
+        assert not any(search.darts_at.values())
 
 
 @pytest.mark.parametrize("spec,expected,digest", [
